@@ -21,6 +21,11 @@ public:
   }
 
 private:
+  /// Deepest array/object nesting accepted.  The parser recurses once per
+  /// level, so an unbounded depth lets a hostile `[[[...` document exhaust
+  /// the stack; proxima's own reports nest fewer than ten levels.
+  static constexpr std::size_t kMaxDepth = 256;
+
   JsonValue parse_value() {
     skip_ws();
     if (pos_ >= text_.size()) {
@@ -28,9 +33,9 @@ private:
     }
     switch (text_[pos_]) {
     case '{':
-      return parse_object();
+      return parse_nested(&Parser::parse_object);
     case '[':
-      return parse_array();
+      return parse_nested(&Parser::parse_array);
     case '"':
       return parse_string();
     case 't':
@@ -42,6 +47,16 @@ private:
     default:
       return parse_number();
     }
+  }
+
+  JsonValue parse_nested(JsonValue (Parser::*parse)()) {
+    if (depth_ == kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    ++depth_;
+    JsonValue value = (this->*parse)();
+    --depth_;
+    return value;
   }
 
   JsonValue parse_object() {
@@ -226,6 +241,7 @@ private:
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 } // namespace

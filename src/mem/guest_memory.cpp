@@ -6,22 +6,6 @@
 
 namespace proxima::mem {
 
-GuestMemory::Page& GuestMemory::page_for(std::uint32_t addr) {
-  const std::uint32_t index = addr / kPageBytes;
-  auto it = pages_.find(index);
-  if (it == pages_.end()) {
-    auto page = std::make_unique<Page>();
-    page->fill(0);
-    it = pages_.emplace(index, std::move(page)).first;
-  }
-  return *it->second;
-}
-
-const GuestMemory::Page* GuestMemory::page_if_present(std::uint32_t addr) const {
-  const auto it = pages_.find(addr / kPageBytes);
-  return it == pages_.end() ? nullptr : it->second.get();
-}
-
 std::uint8_t GuestMemory::read_u8(std::uint32_t addr) const {
   const Page* page = page_if_present(addr);
   return page == nullptr ? 0 : (*page)[addr % kPageBytes];
@@ -29,21 +13,6 @@ std::uint8_t GuestMemory::read_u8(std::uint32_t addr) const {
 
 std::uint16_t GuestMemory::read_u16(std::uint32_t addr) const {
   return static_cast<std::uint16_t>((read_u8(addr) << 8) | read_u8(addr + 1));
-}
-
-std::uint32_t GuestMemory::read_u32(std::uint32_t addr) const {
-  // Fast path: whole word inside one resident page.
-  if (addr % kPageBytes <= kPageBytes - 4) {
-    if (const Page* page = page_if_present(addr)) {
-      const std::uint32_t offset = addr % kPageBytes;
-      return (static_cast<std::uint32_t>((*page)[offset]) << 24) |
-             (static_cast<std::uint32_t>((*page)[offset + 1]) << 16) |
-             (static_cast<std::uint32_t>((*page)[offset + 2]) << 8) |
-             static_cast<std::uint32_t>((*page)[offset + 3]);
-    }
-    return 0;
-  }
-  return (static_cast<std::uint32_t>(read_u16(addr)) << 16) | read_u16(addr + 2);
 }
 
 std::uint64_t GuestMemory::read_u64(std::uint32_t addr) const {
@@ -69,23 +38,12 @@ void GuestMemory::write_u16(std::uint32_t addr, std::uint16_t value) {
   }
 }
 
-void GuestMemory::write_u32(std::uint32_t addr, std::uint32_t value) {
-  if (addr % kPageBytes <= kPageBytes - 4) {
-    Page& page = page_for(addr);
-    const std::uint32_t offset = addr % kPageBytes;
-    page[offset] = static_cast<std::uint8_t>(value >> 24);
-    page[offset + 1] = static_cast<std::uint8_t>(value >> 16);
-    page[offset + 2] = static_cast<std::uint8_t>(value >> 8);
-    page[offset + 3] = static_cast<std::uint8_t>(value);
-  } else {
-    poke_u8(addr, static_cast<std::uint8_t>(value >> 24));
-    poke_u8(addr + 1, static_cast<std::uint8_t>(value >> 16));
-    poke_u8(addr + 2, static_cast<std::uint8_t>(value >> 8));
-    poke_u8(addr + 3, static_cast<std::uint8_t>(value));
-  }
-  if (!listeners_.empty()) {
-    notify_written(addr, 4);
-  }
+void GuestMemory::poke_u32_straddling(std::uint32_t addr,
+                                      std::uint32_t value) {
+  poke_u8(addr, static_cast<std::uint8_t>(value >> 24));
+  poke_u8(addr + 1, static_cast<std::uint8_t>(value >> 16));
+  poke_u8(addr + 2, static_cast<std::uint8_t>(value >> 8));
+  poke_u8(addr + 3, static_cast<std::uint8_t>(value));
 }
 
 void GuestMemory::write_u64(std::uint32_t addr, std::uint64_t value) {
@@ -138,19 +96,11 @@ void GuestMemory::write_u32_span(std::uint32_t addr,
                                  std::uint32_t count) {
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t word_addr = addr + 4 * i;
-    const std::uint32_t value = values[i];
-    if (word_addr % kPageBytes <= kPageBytes - 4) {
-      Page& page = page_for(word_addr);
-      const std::uint32_t offset = word_addr % kPageBytes;
-      page[offset] = static_cast<std::uint8_t>(value >> 24);
-      page[offset + 1] = static_cast<std::uint8_t>(value >> 16);
-      page[offset + 2] = static_cast<std::uint8_t>(value >> 8);
-      page[offset + 3] = static_cast<std::uint8_t>(value);
+    const std::uint32_t offset = word_addr % kPageBytes;
+    if (offset <= kPageBytes - 4) {
+      store_be32(page_for(word_addr).data() + offset, values[i]);
     } else {
-      poke_u8(word_addr, static_cast<std::uint8_t>(value >> 24));
-      poke_u8(word_addr + 1, static_cast<std::uint8_t>(value >> 16));
-      poke_u8(word_addr + 2, static_cast<std::uint8_t>(value >> 8));
-      poke_u8(word_addr + 3, static_cast<std::uint8_t>(value));
+      poke_u32_straddling(word_addr, values[i]);
     }
   }
   if (count != 0 && !listeners_.empty()) {
@@ -158,11 +108,27 @@ void GuestMemory::write_u32_span(std::uint32_t addr,
   }
 }
 
+template <typename Fn>
+void GuestMemory::for_each_page_span(std::uint32_t addr, std::size_t length,
+                                     Fn&& fn) {
+  std::size_t done = 0;
+  while (done < length) {
+    // Unsigned wrap: a range running past 0xffffffff continues at page 0.
+    const std::uint32_t at = addr + static_cast<std::uint32_t>(done);
+    const std::uint32_t offset = at % kPageBytes;
+    const std::size_t span =
+        std::min<std::size_t>(length - done, kPageBytes - offset);
+    fn(page_for(at).data() + offset, done, span);
+    done += span;
+  }
+}
+
 void GuestMemory::fill(std::uint32_t addr, std::uint32_t length,
                        std::uint8_t value) {
-  for (std::uint32_t i = 0; i < length; ++i) {
-    poke_u8(addr + i, value);
-  }
+  for_each_page_span(addr, length,
+                     [value](std::uint8_t* out, std::size_t, std::size_t span) {
+                       std::memset(out, value, span);
+                     });
   if (length != 0 && !listeners_.empty()) {
     notify_written(addr, length);
   }
@@ -170,9 +136,11 @@ void GuestMemory::fill(std::uint32_t addr, std::uint32_t length,
 
 void GuestMemory::load(std::uint32_t addr,
                        const std::vector<std::uint8_t>& bytes) {
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    poke_u8(addr + static_cast<std::uint32_t>(i), bytes[i]);
-  }
+  for_each_page_span(
+      addr, bytes.size(),
+      [&bytes](std::uint8_t* out, std::size_t done, std::size_t span) {
+        std::memcpy(out, bytes.data() + done, span);
+      });
   if (!bytes.empty() && !listeners_.empty()) {
     notify_written(addr, static_cast<std::uint32_t>(bytes.size()));
   }

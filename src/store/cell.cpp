@@ -105,6 +105,19 @@ public:
     return value;
   }
 
+  /// An element count that sizes a container.  Each element encodes to at
+  /// least `min_element_bytes`, so a count the remaining payload cannot
+  /// hold is refused before anything is allocated for it.
+  std::size_t count(std::size_t min_element_bytes, const char* what) {
+    const std::uint32_t value = u32();
+    if (value > (bytes_.size() - pos_) / min_element_bytes) {
+      throw StoreError(path_ + ": " + what + " count " +
+                       std::to_string(value) +
+                       " exceeds the bytes left in its payload");
+    }
+    return value;
+  }
+
   bool done() const noexcept { return pos_ == bytes_.size(); }
   void expect_done() const {
     if (!done()) {
@@ -211,7 +224,7 @@ obs::MetricsShard decode_metrics(Decoder& dec, const std::string& path) {
   }
   for (std::uint32_t i = dec.u32(); i != 0; --i) {
     std::string name = dec.str();
-    std::vector<double> values(dec.u32());
+    std::vector<double> values(dec.count(8, "series value"));
     for (double& value : values) {
       value = dec.f64();
     }
@@ -274,11 +287,12 @@ StoredRun decode_record(Decoder& dec, const std::string& path) {
   }
   run.sample.counters.for_each(
       [&](const char*, std::uint64_t& value) { value = dec.u64(); });
-  run.sample.partitions.resize(dec.u32());
+  // A partition is at least its name length, overruns and cycle count.
+  run.sample.partitions.resize(dec.count(12, "partition"));
   for (casestudy::PartitionActivity& activity : run.sample.partitions) {
     activity.partition = dec.str();
     activity.overruns = dec.u32();
-    activity.cycles.resize(dec.u32());
+    activity.cycles.resize(dec.count(8, "partition cycle"));
     for (double& cycles : activity.cycles) {
       cycles = dec.f64();
     }

@@ -19,17 +19,16 @@ bool fusable_handler(std::uint8_t handler) {
 } // namespace
 
 DecodeCache::Page& DecodeCache::page_slow(std::uint32_t index) {
-  auto it = pages_.find(index);
-  if (it == pages_.end()) {
-    if (pages_.size() >= kMaxPages) {
-      // Footprint cap: drop everything rather than track per-page LRU —
-      // re-decoding is cheap and this fires only after DSR relocation has
-      // visited thousands of distinct pool pages.
-      invalidate_all();
-    }
-    it = pages_.emplace(index, std::make_unique<Page>()).first;
+  if (Page* page = pages_.find(index)) {
+    return *page;
   }
-  return *it->second;
+  if (pages_.size() >= kMaxPages) {
+    // Footprint cap: drop everything rather than track per-page LRU —
+    // re-decoding is cheap and this fires only after DSR relocation has
+    // visited thousands of distinct pool pages.
+    invalidate_all();
+  }
+  return pages_.get(index);
 }
 
 void DecodeCache::decode_into(DecodedOp& op, std::uint32_t pc,
@@ -136,13 +135,13 @@ void DecodeCache::compact_superblocks(Page& page) {
 
 void DecodeCache::invalidate_all() {
   ++stats_.full_invalidations;
-  for (const auto& [index, page] : pages_) {
-    for (const Superblock& sb : page->superblocks) {
+  pages_.for_each([this](const Page& page) {
+    for (const Superblock& sb : page.superblocks) {
       if (sb.live) {
         ++stats_.superblocks_invalidated;
       }
     }
-  }
+  });
   pages_.clear();
   mru_ = nullptr;
   mru_index_ = 0xffff'ffff;
@@ -165,9 +164,8 @@ void DecodeCache::invalidate_range(std::uint32_t addr, std::uint32_t length) {
   const std::uint32_t first_page = first_word >> (kPageShift - 2);
   const std::uint32_t last_page = last_word >> (kPageShift - 2);
   for (std::uint32_t index = first_page;; ++index) {
-    const auto it = pages_.find(index);
-    if (it != pages_.end()) {
-      Page& page = *it->second;
+    if (Page* found = pages_.find(index)) {
+      Page& page = *found;
       const std::uint32_t begin =
           index == first_page ? first_word & (kOpsPerPage - 1) : 0;
       const std::uint32_t end =

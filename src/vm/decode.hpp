@@ -4,9 +4,9 @@
 // form: the opcode collapsed to a dense handler index (the Opcode value
 // itself — the enum is already dense), operand fields pre-extracted, and
 // the immediate pre-sign-extended.  DecodedOps live in a DecodeCache keyed
-// by guest address: 4 KiB pages of 1024 entries, materialised on demand,
-// with a one-entry MRU page memo so the dispatch loop's lookup is an index
-// computation in the common case.
+// by guest address: 4 KiB pages of 1024 entries in a mem::PageTable,
+// materialised on demand, with a one-entry MRU page memo so the dispatch
+// loop's lookup is an index computation in the common case.
 //
 // Coherence: the cache registers itself as a mem::MemoryWriteListener, so
 // ANY write into guest memory — the DSR runtime's relocation copies, a
@@ -19,11 +19,10 @@
 
 #include "isa/instruction.hpp"
 #include "mem/guest_memory.hpp"
+#include "mem/page_table.hpp"
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace proxima::vm {
@@ -175,10 +174,10 @@ public:
   /// declined marks — their plans embedded the old costs).
   void set_superblock_costs(const SuperblockCosts& costs) {
     costs_ = costs;
-    for (auto& [index, page] : pages_) {
-      page->sb_head.fill(kSbUnexplored);
-      page->superblocks.clear();
-    }
+    pages_.for_each([](Page& page) {
+      page.sb_head.fill(kSbUnexplored);
+      page.superblocks.clear();
+    });
   }
 
   /// Superblock lookup for the fast-sb dispatch level.  Returns the live
@@ -277,7 +276,7 @@ private:
   /// moving the storage is safe).
   static void compact_superblocks(Page& page);
 
-  std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
+  mem::PageTable<Page> pages_;
   Page* mru_ = nullptr;
   std::uint32_t mru_index_ = 0xffff'ffff;
   Stats stats_;

@@ -20,6 +20,7 @@
 #include "decode.hpp"
 #include "taint.hpp"
 #include "vm.hpp"
+#include "windows.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -77,26 +78,23 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
   // is off, so the hot path pays one never-taken branch.
   TaintState* const taint = taint_.get();
 
-  // Inline register-file access, mirroring visible/visible_value/set_reg.
-  auto vis = [&](std::uint8_t index) -> std::uint32_t& {
-    if (index < 8) {
-      return globals_[index];
-    }
-    if (index < 16) { // outs of cwp
-      return windowed_[(cwp_ * 16 + (index - 8u)) % (nw * 16)];
-    }
-    if (index < 24) { // locals of cwp
-      return windowed_[(cwp_ * 16 + 8u + (index - 16u)) % (nw * 16)];
-    }
-    // ins of cwp == outs of cwp+1
-    return windowed_[(((cwp_ + 1) % nw) * 16 + (index - 24u)) % (nw * 16)];
+  // Register-file access through hoisted window bases, mirroring
+  // visible/visible_value/set_reg.  Held in locals so a register store
+  // cannot alias them (a store through `this` could alias cwp_); cwp_
+  // changes only in do_save/do_restore, after which `refresh_window`
+  // rebuilds them.
+  RegisterWindow<std::uint32_t> regs(globals_.data(), windowed_.data(), cwp_,
+                                     nw);
+  auto refresh_window = [&] {
+    regs = RegisterWindow<std::uint32_t>(globals_.data(), windowed_.data(),
+                                         cwp_, nw);
   };
   auto rv = [&](std::uint8_t index) -> std::uint32_t {
-    return index == isa::kG0 ? 0u : vis(index);
+    return index == isa::kG0 ? 0u : regs[index];
   };
   auto wr = [&](std::uint8_t index, std::uint32_t value) {
     if (index != isa::kG0) {
-      vis(index) = value;
+      regs[index] = value;
     }
   };
 
@@ -1219,16 +1217,19 @@ next_instruction:
   // ---- register windows ----
   VM_CASE(kSave) {
     do_save(op->rd, rv(op->rs1) + static_cast<std::uint32_t>(op->imm));
+    refresh_window();
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kSavex) {
     do_save(op->rd, rv(op->rs1) + rv(op->rs2));
+    refresh_window();
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kRestore) {
     do_restore(isa::Instruction{Opcode::kRestore, op->rd, op->rs1, op->rs2, 0});
+    refresh_window();
     pc_ += 4;
     VM_NEXT();
   }

@@ -18,9 +18,11 @@
 // like the instruction-mix hook).
 #pragma once
 
+#include "mem/page_table.hpp"
+#include "vm/windows.hpp"
+
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace proxima::vm {
@@ -74,8 +76,8 @@ public:
   /// every run so per-run leak metrics are a pure function of that run.
   void clear_memory() { pages_.clear(); }
 
-  // Visible-register shadow access; the window arithmetic mirrors
-  // Vm::visible exactly (%g0 reads clean, writes are discarded).
+  // Visible-register shadow access through the same RegisterWindow as
+  // Vm::visible (%g0 reads clean, writes are discarded).
   bool reg(std::uint8_t index, std::uint32_t cwp) const {
     if (index == 0) {
       return false;
@@ -105,17 +107,14 @@ public:
 
   /// Shadow of the aligned word containing `addr`.
   bool mem_word(std::uint32_t addr) const {
-    const auto it = pages_.find(addr >> kPageShift);
-    return it != pages_.end() && it->second[word_index(addr)] != 0;
+    const ShadowPage* page = pages_.find(addr >> kPageShift);
+    return page != nullptr && (*page)[word_index(addr)] != 0;
   }
   void set_mem_word(std::uint32_t addr, bool tainted) {
     if (tainted) {
-      pages_[addr >> kPageShift][word_index(addr)] = 1;
-    } else {
-      const auto it = pages_.find(addr >> kPageShift);
-      if (it != pages_.end()) {
-        it->second[word_index(addr)] = 0;
-      }
+      pages_.get(addr >> kPageShift)[word_index(addr)] = 1;
+    } else if (ShadowPage* page = pages_.find(addr >> kPageShift)) {
+      (*page)[word_index(addr)] = 0;
     }
   }
 
@@ -141,6 +140,7 @@ public:
 private:
   static constexpr std::uint32_t kPageShift = 12; // match GuestMemory pages
   static constexpr std::size_t kWordsPerPage = 1U << (kPageShift - 2);
+  using ShadowPage = std::array<std::uint8_t, kWordsPerPage>;
 
   static std::size_t word_index(std::uint32_t addr) {
     return (addr & ((1U << kPageShift) - 1)) >> 2;
@@ -155,18 +155,8 @@ private:
   }
 
   std::uint8_t& slot(std::uint8_t index, std::uint32_t cwp) {
-    const std::uint32_t n = nwindows_;
-    if (index < 8) {
-      return globals_[index];
-    }
-    if (index < 16) { // outs of cwp
-      return windowed_[(cwp * 16 + (index - 8U)) % (n * 16)];
-    }
-    if (index < 24) { // locals of cwp
-      return windowed_[(cwp * 16 + 8U + (index - 16U)) % (n * 16)];
-    }
-    // ins of cwp == outs of cwp+1
-    return windowed_[(((cwp + 1) % n) * 16 + (index - 24U)) % (n * 16)];
+    return RegisterWindow<std::uint8_t>(globals_.data(), windowed_.data(), cwp,
+                                        nwindows_)[index];
   }
 
   std::uint32_t nwindows_;
@@ -175,8 +165,7 @@ private:
   std::array<std::uint8_t, 16> fregs_{};
   std::vector<TaintRange> sources_;
   std::vector<TaintRange> sinks_;
-  std::unordered_map<std::uint32_t, std::array<std::uint8_t, kWordsPerPage>>
-      pages_;
+  mem::PageTable<ShadowPage> pages_;
   TaintStats stats_;
 };
 

@@ -26,6 +26,7 @@
 #include "isa/registers.hpp"
 #include "vm/taint.hpp"
 #include "vm/vm.hpp"
+#include "vm/windows.hpp"
 
 namespace proxima::vm {
 
@@ -250,19 +251,16 @@ void Vm::taint_spill_oldest_window() {
   TaintState& t = *taint_;
   const std::uint32_t n = config_.nwindows;
   const std::uint32_t w = (cwp_ + resident_ - 1) % n;
-  const std::uint32_t sp = windowed_[(w * 16 + 6) % (n * 16)];
+  const std::uint32_t sp = windowed_[window_base(w) + 6];
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
+    const std::uint32_t lo_index = window_base(w) + 8 + pair * 2;
     t.set_mem_word(sp + pair * 8, t.windowed_slot(lo_index));
-    t.set_mem_word(sp + pair * 8 + 4,
-                   t.windowed_slot((lo_index + 1) % (n * 16)));
+    t.set_mem_word(sp + pair * 8 + 4, t.windowed_slot(lo_index + 1));
   }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16; // ins(w) == outs(w+1)
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
+    const std::uint32_t in_index = window_ins_base(w, n) + pair * 2;
     t.set_mem_word(sp + 32 + pair * 8, t.windowed_slot(in_index));
-    t.set_mem_word(sp + 32 + pair * 8 + 4,
-                   t.windowed_slot((in_index + 1) % (n * 16)));
+    t.set_mem_word(sp + 32 + pair * 8 + 4, t.windowed_slot(in_index + 1));
   }
 }
 
@@ -272,17 +270,14 @@ void Vm::taint_fill_window(std::uint32_t w) {
   const std::uint32_t n = config_.nwindows;
   const std::uint32_t sp = visible_value(isa::kFp);
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
+    const std::uint32_t lo_index = window_base(w) + 8 + pair * 2;
     t.set_windowed_slot(lo_index, t.mem_word(sp + pair * 8));
-    t.set_windowed_slot((lo_index + 1) % (n * 16),
-                        t.mem_word(sp + pair * 8 + 4));
+    t.set_windowed_slot(lo_index + 1, t.mem_word(sp + pair * 8 + 4));
   }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16;
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
+    const std::uint32_t in_index = window_ins_base(w, n) + pair * 2;
     t.set_windowed_slot(in_index, t.mem_word(sp + 32 + pair * 8));
-    t.set_windowed_slot((in_index + 1) % (n * 16),
-                        t.mem_word(sp + 32 + pair * 8 + 4));
+    t.set_windowed_slot(in_index + 1, t.mem_word(sp + 32 + pair * 8 + 4));
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "decode.hpp"
 #include "taint.hpp"
+#include "windows.hpp"
 
 #include <cmath>
 #include <sstream>
@@ -75,18 +76,8 @@ void Vm::reset(std::uint32_t entry_pc, std::uint32_t stack_top) {
 }
 
 std::uint32_t& Vm::visible(std::uint8_t index) {
-  const std::uint32_t n = config_.nwindows;
-  if (index < 8) {
-    return globals_[index];
-  }
-  if (index < 16) { // outs of cwp
-    return windowed_[(cwp_ * 16 + (index - 8u)) % (n * 16)];
-  }
-  if (index < 24) { // locals of cwp
-    return windowed_[(cwp_ * 16 + 8u + (index - 16u)) % (n * 16)];
-  }
-  // ins of cwp == outs of cwp+1
-  return windowed_[(((cwp_ + 1) % n) * 16 + (index - 24u)) % (n * 16)];
+  return RegisterWindow<std::uint32_t>(globals_.data(), windowed_.data(), cwp_,
+                                       config_.nwindows)[index];
 }
 
 std::uint32_t Vm::visible_value(std::uint8_t index) const {
@@ -176,7 +167,7 @@ void Vm::spill_oldest_window() {
   // Save area: that window's %sp (its out6), which the SPARC ABI guarantees
   // points at 64 bytes of spill space.  With DSR, this address carries the
   // random stack offset — spill traffic is randomised too.
-  const std::uint32_t sp = windowed_[(w * 16 + 6) % (n * 16)];
+  const std::uint32_t sp = windowed_[window_base(w) + 6];
   if (sp % 8 != 0) {
     fault("window spill with misaligned %sp");
   }
@@ -185,17 +176,15 @@ void Vm::spill_oldest_window() {
   // Store %l0-%l7 then %i0-%i7 as eight doubleword stores (as real spill
   // handlers do with std), through the data cache path.
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
+    const std::uint32_t lo_index = window_base(w) + 8 + pair * 2;
     memory_.write_u32(sp + pair * 8, windowed_[lo_index]);
-    memory_.write_u32(sp + pair * 8 + 4, windowed_[(lo_index + 1) % (n * 16)]);
+    memory_.write_u32(sp + pair * 8 + 4, windowed_[lo_index + 1]);
     cycles_ += 1 + hierarchy_.store(sp + pair * 8, cycles_, 8);
   }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16; // ins(w) == outs(w+1)
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
+    const std::uint32_t in_index = window_ins_base(w, n) + pair * 2;
     memory_.write_u32(sp + 32 + pair * 8, windowed_[in_index]);
-    memory_.write_u32(sp + 32 + pair * 8 + 4,
-                      windowed_[(in_index + 1) % (n * 16)]);
+    memory_.write_u32(sp + 32 + pair * 8 + 4, windowed_[in_index + 1]);
     cycles_ += 1 + hierarchy_.store(sp + 32 + pair * 8, cycles_, 8);
   }
   --resident_;
@@ -212,17 +201,15 @@ void Vm::fill_window(std::uint32_t w) {
   cycles_ += config_.trap_cycles;
   ++hierarchy_.counters().window_underflows;
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
+    const std::uint32_t lo_index = window_base(w) + 8 + pair * 2;
     windowed_[lo_index] = memory_.read_u32(sp + pair * 8);
-    windowed_[(lo_index + 1) % (n * 16)] = memory_.read_u32(sp + pair * 8 + 4);
+    windowed_[lo_index + 1] = memory_.read_u32(sp + pair * 8 + 4);
     cycles_ += 1 + config_.load_use_cycles + hierarchy_.load(sp + pair * 8);
   }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16;
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
+    const std::uint32_t in_index = window_ins_base(w, n) + pair * 2;
     windowed_[in_index] = memory_.read_u32(sp + 32 + pair * 8);
-    windowed_[(in_index + 1) % (n * 16)] =
-        memory_.read_u32(sp + 32 + pair * 8 + 4);
+    windowed_[in_index + 1] = memory_.read_u32(sp + 32 + pair * 8 + 4);
     cycles_ += 1 + config_.load_use_cycles + hierarchy_.load(sp + 32 + pair * 8);
   }
   ++resident_;

@@ -645,6 +645,28 @@ TEST(CliDiff, ComparesPerPartitionRowsAndMeasuredTarget) {
       << "per-partition rows must be compared:\n" + result.out;
 }
 
+// The JSON reader recurses once per nesting level; a hostile document
+// nested far past any report's depth must be a parse error (exit 2), not a
+// stack overflow.
+TEST(CliDiff, DeeplyNestedDocumentExitsTwo) {
+  constexpr std::size_t kDepth = 200'000;
+  const TempReport deep("deep",
+                        std::string(kDepth, '[') + std::string(kDepth, ']'));
+  const CliResult result =
+      invoke({"diff", deep.path().c_str(), deep.path().c_str()});
+  EXPECT_EQ(result.code, 2);
+  EXPECT_NE(result.err.find("nesting deeper than"), std::string::npos)
+      << result.err;
+  // Nesting within the cap still parses (and is then rejected only as a
+  // non-report).
+  const TempReport shallow("shallow",
+                           std::string(200, '[') + std::string(200, ']'));
+  const CliResult ok =
+      invoke({"diff", shallow.path().c_str(), shallow.path().c_str()});
+  EXPECT_EQ(ok.code, 2);
+  EXPECT_EQ(ok.err.find("nesting deeper than"), std::string::npos) << ok.err;
+}
+
 TEST(CliDiff, UsageErrorsExitTwo) {
   EXPECT_EQ(invoke({"diff"}).code, 2);
   EXPECT_EQ(invoke({"diff", "only-one.json"}).code, 2);

@@ -192,4 +192,104 @@ TEST(DecodeCache, FormationDeclinesShortRunsAndDefersUndecodedCuts) {
       << "superblock_at must never decode slots itself";
 }
 
+// Decoded pages live in a two-level radix table (1024 leaves of 1024
+// pages).  Pages in different leaves decode, count and invalidate
+// independently, and a write into a leaf the cache never touched is a
+// no-op.
+TEST(DecodeCache, PagesInDifferentRadixLeaves) {
+  mem::GuestMemory memory;
+  DecodeCache cache;
+  const std::uint32_t pcs[] = {0x0000'0000, 0x003f'f000, 0xffff'f000};
+  for (const std::uint32_t pc : pcs) {
+    memory.write_u32(pc, add_word());
+    ASSERT_EQ(cache.at(pc, memory).handler, kAddHandler);
+  }
+  EXPECT_EQ(cache.resident_pages(), 3u);
+
+  cache.on_memory_written(0x8000'0000, 4); // untouched leaf
+  cache.on_memory_written(0x0040'0000, 4); // untouched leaf, next to page 2
+  EXPECT_EQ(cache.stats().invalidated_slots, 0u);
+  EXPECT_EQ(cache.resident_pages(), 3u);
+
+  cache.on_memory_written(0x003f'f000, 4);
+  EXPECT_EQ(cache.stats().invalidated_slots, 1u);
+  EXPECT_EQ(cache.at(0x0000'0000, memory).handler, kAddHandler);
+  EXPECT_EQ(cache.at(0xffff'f000, memory).handler, kAddHandler);
+  EXPECT_EQ(cache.stats().decodes, 3u) << "other leaves stay decoded";
+  EXPECT_EQ(cache.at(0x003f'f000, memory).handler, kAddHandler);
+  EXPECT_EQ(cache.stats().decodes, 4u);
+}
+
+// A word written at page offset 4092 covers only the page's last slot; one
+// at offset 4093 straddles into the next page (here: the next radix leaf)
+// and must reset the last slot of one page and the first slot of the next.
+TEST(DecodeCache, WritesAtEndOfPage) {
+  mem::GuestMemory memory;
+  DecodeCache cache;
+  const std::uint32_t page = 0x0040'0000 - (1u << DecodeCache::kPageShift);
+  const std::uint32_t last = page + 4092;
+  const std::uint32_t next = page + 4096;
+  memory.write_u32(last, add_word());
+  memory.write_u32(next, add_word());
+  cache.at(last, memory);
+  cache.at(next, memory);
+  EXPECT_EQ(cache.resident_pages(), 2u);
+
+  cache.on_memory_written(last, 4);
+  EXPECT_EQ(cache.stats().invalidated_slots, 1u);
+  cache.at(last, memory);
+
+  cache.on_memory_written(page + 4093, 4);
+  EXPECT_EQ(cache.stats().invalidated_slots, 3u);
+  const std::uint64_t decodes = cache.stats().decodes;
+  cache.at(last, memory);
+  cache.at(next, memory);
+  EXPECT_EQ(cache.stats().decodes, decodes + 2);
+}
+
+// A guest-memory wipe drops every decoded page through the listener.
+TEST(DecodeCache, ResidentPagesAcrossClear) {
+  mem::GuestMemory memory;
+  DecodeCache cache;
+  memory.add_write_listener(&cache);
+  EXPECT_EQ(cache.resident_pages(), 0u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    memory.write_u32(i * 0x0100'0000, add_word()); // four different leaves
+    cache.at(i * 0x0100'0000, memory);
+  }
+  EXPECT_EQ(cache.resident_pages(), 4u);
+  memory.clear();
+  EXPECT_EQ(cache.resident_pages(), 0u);
+  EXPECT_EQ(cache.stats().full_invalidations, 1u);
+  // The slot re-decodes from the wiped (zero) word: a nop.
+  EXPECT_EQ(cache.at(0x0100'0000, memory).handler,
+            static_cast<std::uint8_t>(isa::Opcode::kNop));
+  EXPECT_EQ(cache.resident_pages(), 1u);
+  memory.remove_write_listener(&cache);
+}
+
+// The kMaxPages cap counts pages, not leaves: pages scattered one per leaf
+// trip the wholesale drop at exactly the same point as adjacent pages.
+TEST(DecodeCache, PageCapFiresAtCapAcrossLeaves) {
+  mem::GuestMemory memory;
+  DecodeCache cache;
+  const auto scattered_pc = [](std::size_t i) {
+    return page_pc(i * 1023 + 5); // a different leaf for nearly every i
+  };
+  for (std::size_t i = 0; i < DecodeCache::kMaxPages; ++i) {
+    memory.write_u32(scattered_pc(i), add_word());
+    cache.at(scattered_pc(i), memory);
+  }
+  EXPECT_EQ(cache.resident_pages(), DecodeCache::kMaxPages);
+  EXPECT_EQ(cache.stats().full_invalidations, 0u);
+  // Revisiting a resident page does not count toward the cap.
+  cache.at(scattered_pc(0), memory);
+  EXPECT_EQ(cache.stats().full_invalidations, 0u);
+
+  memory.write_u32(scattered_pc(DecodeCache::kMaxPages), add_word());
+  cache.at(scattered_pc(DecodeCache::kMaxPages), memory);
+  EXPECT_EQ(cache.stats().full_invalidations, 1u);
+  EXPECT_EQ(cache.resident_pages(), 1u);
+}
+
 } // namespace

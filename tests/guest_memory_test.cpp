@@ -2,11 +2,23 @@
 #include "mem/guest_memory.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <utility>
+#include <vector>
 
 namespace {
 
 using proxima::mem::GuestMemory;
+
+/// Records every listener notification.
+struct RecordingListener : proxima::mem::MemoryWriteListener {
+  void on_memory_written(std::uint32_t addr, std::uint32_t length) override {
+    writes.emplace_back(addr, length);
+  }
+  void on_memory_cleared() override {}
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> writes;
+};
 
 TEST(GuestMemory, ZeroInitialised) {
   GuestMemory mem;
@@ -112,6 +124,121 @@ TEST(GuestMemory, ClearDropsEverything) {
   mem.clear();
   EXPECT_EQ(mem.read_u32(0x700), 0u);
   EXPECT_EQ(mem.resident_pages(), 0u);
+}
+
+// Pages live in a two-level radix table: 1024 leaves of 1024 pages.  These
+// three addresses sit in the first leaf's first page, the first leaf's last
+// page and the last leaf's last page.
+TEST(GuestMemory, PagesInDifferentRadixLeaves) {
+  GuestMemory mem;
+  const std::uint32_t addrs[] = {0x0000'0000, 0x003f'f000, 0xffff'f000};
+  std::uint32_t value = 0x1020'3040;
+  for (const std::uint32_t addr : addrs) {
+    mem.write_u32(addr + 8, value++);
+  }
+  EXPECT_EQ(mem.resident_pages(), 3u);
+  value = 0x1020'3040;
+  for (const std::uint32_t addr : addrs) {
+    EXPECT_EQ(mem.read_u32(addr + 8), value++);
+    EXPECT_EQ(mem.read_u32(addr), 0u);
+  }
+  // Neighbouring pages, one in an unallocated leaf, read as zero and are
+  // not materialised by the read.
+  EXPECT_EQ(mem.read_u32(0x0040'0008), 0u);
+  EXPECT_EQ(mem.read_u32(0x003f'e008), 0u);
+  EXPECT_EQ(mem.read_u32(0xfffe'f008), 0u);
+  EXPECT_EQ(mem.resident_pages(), 3u);
+}
+
+// Offset 4092 is the last word that fits in one page (the inline path);
+// offset 4093 straddles into the next page (the byte path).  Both must be
+// big-endian and agree byte for byte.
+TEST(GuestMemory, WordsAtEndOfPage) {
+  GuestMemory mem;
+  const std::uint32_t page = 0x0040'0000 - GuestMemory::kPageBytes;
+  mem.write_u32(page + 4092, 0xa1b2c3d4);
+  EXPECT_EQ(mem.resident_pages(), 1u);
+  EXPECT_EQ(mem.read_u32(page + 4092), 0xa1b2c3d4u);
+  EXPECT_EQ(mem.read_u8(page + 4095), 0xd4u);
+
+  // The next page begins a new radix leaf.
+  mem.write_u32(page + 4093, 0x01020304);
+  EXPECT_EQ(mem.resident_pages(), 2u);
+  EXPECT_EQ(mem.read_u32(page + 4093), 0x01020304u);
+  EXPECT_EQ(mem.read_u8(page + 4093), 0x01u);
+  EXPECT_EQ(mem.read_u8(page + 4095), 0x03u);
+  EXPECT_EQ(mem.read_u8(page + 4096), 0x04u);
+  EXPECT_EQ(mem.read_u32(page + 4092), 0xa1010203u);
+}
+
+TEST(GuestMemory, ResidentPagesAcrossClear) {
+  GuestMemory mem;
+  EXPECT_EQ(mem.resident_pages(), 0u);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    mem.write_u8(i * 0x0100'0000, 1); // five different leaves
+  }
+  EXPECT_EQ(mem.resident_pages(), 5u);
+  mem.clear();
+  EXPECT_EQ(mem.resident_pages(), 0u);
+  EXPECT_EQ(mem.read_u8(0x0100'0000), 0u);
+  // Pages re-materialise zeroed after the wipe.
+  mem.write_u8(0x0100'0001, 7);
+  EXPECT_EQ(mem.resident_pages(), 1u);
+  EXPECT_EQ(mem.read_u32(0x0100'0000), 0x0007'0000u);
+}
+
+// load and fill write one page span at a time.  Spans that start
+// unaligned and cross two page boundaries (in the second case one is a
+// radix-leaf boundary, in the third the 0xffffffff -> 0 wrap) must leave memory exactly as
+// a byte-by-byte write does, and notify listeners once for the whole range.
+TEST(GuestMemory, BulkWritesMatchByteByByteReference) {
+  const std::uint32_t starts[] = {0x0000'1ffd, 0x003f'effd, 0xffff'effd};
+  // Three bytes, a whole page, then eight bytes: three pages.
+  constexpr std::uint32_t kLength = GuestMemory::kPageBytes + 11;
+  std::vector<std::uint8_t> image(kLength);
+  for (std::uint32_t i = 0; i < kLength; ++i) {
+    image[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (const std::uint32_t start : starts) {
+    SCOPED_TRACE(start);
+    GuestMemory bulk;
+    GuestMemory reference;
+    RecordingListener listener;
+    bulk.add_write_listener(&listener);
+
+    bulk.load(start, image);
+    bulk.fill(start + 1, kLength - 2, 0x5a);
+    for (std::uint32_t i = 0; i < kLength; ++i) {
+      reference.write_u8(start + i, image[i]);
+    }
+    for (std::uint32_t i = 1; i < kLength - 1; ++i) {
+      reference.write_u8(start + i, 0x5a);
+    }
+
+    EXPECT_EQ(bulk.resident_pages(), 3u);
+    EXPECT_EQ(bulk.resident_pages(), reference.resident_pages());
+    // One page of margin either side must stay zero too.
+    for (std::uint32_t i = 0; i < kLength + 2 * GuestMemory::kPageBytes;
+         ++i) {
+      const std::uint32_t addr = start - GuestMemory::kPageBytes + i;
+      ASSERT_EQ(bulk.read_u8(addr), reference.read_u8(addr)) << addr;
+    }
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> expected = {
+        {start, kLength}, {start + 1, kLength - 2}};
+    EXPECT_EQ(listener.writes, expected);
+    bulk.remove_write_listener(&listener);
+  }
+}
+
+TEST(GuestMemory, EmptyBulkWritesTouchNothing) {
+  GuestMemory mem;
+  RecordingListener listener;
+  mem.add_write_listener(&listener);
+  mem.load(0x1000, {});
+  mem.fill(0x1000, 0, 0xff);
+  EXPECT_EQ(mem.resident_pages(), 0u);
+  EXPECT_TRUE(listener.writes.empty());
+  mem.remove_write_listener(&listener);
 }
 
 TEST(GuestMemory, HighAddressesWork) {

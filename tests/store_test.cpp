@@ -314,6 +314,90 @@ TEST(StoreErrors, MetricslessCellCannotServeAMetricsCampaign) {
                store::StoreError);
 }
 
+/// Little-endian bytes of a hand-built cell, framed the way CellWriter
+/// frames them (u32 length, u64 FNV-1a checksum, payload).
+class CellBytes {
+public:
+  CellBytes() { bytes_.assign({'P', 'X', 'S', 'T', 'O', 'R', 'E', '1'}); }
+
+  void frame(const std::vector<char>& payload) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : payload) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+    put(bytes_, static_cast<std::uint32_t>(payload.size()));
+    put(bytes_, hash);
+    bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  }
+
+  template <typename T> static void put(std::vector<char>& out, T value) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out.push_back(static_cast<char>(value >> (8 * i)));
+    }
+  }
+
+  void write(const std::string& path) const {
+    std::ofstream(path, std::ios::binary)
+        .write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+  }
+
+private:
+  std::vector<char> bytes_;
+};
+
+// A crafted cell passes every checksum but claims more elements than its
+// payload could encode.  The decoder must refuse it with a StoreError
+// before sizing a vector from the claim (which would be bad_alloc or a
+// multi-gigabyte allocation).
+TEST(StoreErrors, OversizedCountsAreRejectedBeforeAllocation) {
+  TempStore root("oversized");
+  std::filesystem::create_directories(root.path());
+  const std::string path = root.path() + "/cell.pxs";
+
+  std::vector<char> header;
+  CellBytes::put(header, std::uint32_t{0}); // scenario ""
+  CellBytes::put(header, std::uint64_t{1}); // fingerprint
+  CellBytes::put(header, std::uint64_t{2}); // input seed
+  CellBytes::put(header, std::uint64_t{3}); // layout seed
+
+  // Everything up to the partition count of one metricless record.
+  std::vector<char> prefix;
+  CellBytes::put(prefix, std::uint64_t{0}); // run index
+  CellBytes::put(prefix, std::uint64_t{0}); // uoa cycles (0.0)
+  prefix.push_back(0);                      // flags
+  std::uint32_t counters = 0;
+  mem::PerfCounters{}.for_each([&](const char*, std::uint64_t) { ++counters; });
+  CellBytes::put(prefix, counters);
+  for (std::uint32_t i = 0; i < counters; ++i) {
+    CellBytes::put(prefix, std::uint64_t{0});
+  }
+
+  std::vector<char> many_partitions = prefix;
+  CellBytes::put(many_partitions, std::uint32_t{0xffff'ffff});
+
+  std::vector<char> many_cycles = prefix;
+  CellBytes::put(many_cycles, std::uint32_t{1}); // one partition
+  CellBytes::put(many_cycles, std::uint32_t{0}); // name ""
+  CellBytes::put(many_cycles, std::uint32_t{0}); // overruns
+  CellBytes::put(many_cycles, std::uint32_t{0xffff'ffff});
+
+  for (const auto& record : {many_partitions, many_cycles}) {
+    CellBytes cell;
+    cell.frame(header);
+    cell.frame(record);
+    cell.write(path);
+    try {
+      store::load_cell(path);
+      FAIL() << "a count beyond the payload must be refused";
+    } catch (const store::StoreError& error) {
+      EXPECT_NE(std::string(error.what()).find("exceeds the bytes left"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Config fingerprint.
 // ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 namespace {
 
 using namespace proxima::isa;
 using proxima::test::TestMachine;
+using proxima::vm::VmConfig;
+using proxima::vm::VmCore;
 using proxima::vm::VmError;
 
 Program recursion_program(int depth) {
@@ -223,6 +228,129 @@ TEST(Windows, SpillTrafficGoesThroughDataCache) {
       with_spill.hierarchy.counters().stores - base_stores;
   EXPECT_GE(spill_stores,
             8 * with_spill.hierarchy.counters().window_overflows);
+}
+
+// sum(n) = n + sum(n-1), keeping n in a local across the call so every
+// spill and fill must preserve it.  main keeps a marker in %l3 across the
+// whole chain.  main runs in window 0 and its SAVE rotates to window
+// nwindows-1, so the outermost sum frame's %i registers are window 0's
+// outs: its RESTORE is taken at cwp = nwindows-1 with ins that wrap.
+Program sum_chain_program(int depth) {
+  Program program;
+  {
+    FunctionBuilder fb("main");
+    fb.li(kL3, 777);
+    fb.li(kO0, depth);
+    fb.call("sum");
+    fb.load_address(kO1, "result");
+    fb.st(kO0, kO1, 0);
+    fb.st(kL3, kO1, 4);
+    fb.halt();
+    program.functions.push_back(fb.build());
+  }
+  {
+    FunctionBuilder fb("sum");
+    fb.prologue(96);
+    fb.mov(kL0, kI0);
+    fb.subcci(kI0, 1);
+    fb.ble("base");
+    fb.subi(kO0, kI0, 1);
+    fb.call("sum");
+    fb.add(kI0, kO0, kL0);
+    fb.ba("done");
+    fb.label("base");
+    fb.li(kI0, 1);
+    fb.label("done");
+    fb.epilogue();
+    program.functions.push_back(fb.build());
+  }
+  program.data.push_back(DataObject{.name = "result", .size = 8, .align = 4});
+  program.entry = "main";
+  return program;
+}
+
+// Everything a core exposes, captured at one stop.
+struct Snapshot {
+  std::array<std::uint32_t, kRegisterCount> regs{};
+  std::array<bool, 4> icc{};
+  std::uint32_t pc = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t instructions = 0;
+  std::uint32_t resident = 0;
+  proxima::mem::PerfCounters counters;
+  friend bool operator==(const Snapshot&, const Snapshot&) = default;
+};
+
+Snapshot snapshot(const TestMachine& machine) {
+  Snapshot shot;
+  for (std::uint8_t r = 0; r < kRegisterCount; ++r) {
+    shot.regs[r] = machine.cpu.reg(r);
+  }
+  const auto& icc = machine.cpu.icc();
+  shot.icc = {icc.n, icc.z, icc.v, icc.c};
+  shot.pc = machine.cpu.pc();
+  shot.cycles = machine.cpu.cycles();
+  shot.instructions = machine.cpu.instructions();
+  shot.resident = machine.cpu.resident_windows();
+  shot.counters = machine.hierarchy.counters();
+  return shot;
+}
+
+// Run to HALT in short cycle-budget slices, snapshotting at every stop, so
+// the register file is compared at many window depths, not just at exit.
+// A core that loses track of its window never halts; the cycle cap turns
+// that into a failure instead of a hang.
+std::vector<Snapshot> run_sliced(TestMachine& machine) {
+  constexpr std::uint64_t kSlice = 23;
+  constexpr std::uint64_t kMaxCycles = 1'000'000;
+  std::vector<Snapshot> shots;
+  std::uint64_t budget = 0;
+  while (!machine.cpu.halted() && budget < kMaxCycles) {
+    budget += kSlice;
+    machine.cpu.run(budget);
+    shots.push_back(snapshot(machine));
+  }
+  EXPECT_TRUE(machine.cpu.halted()) << "no HALT within " << kMaxCycles
+                                    << " cycles";
+  return shots;
+}
+
+TEST(Windows, CoresAgreeAcrossWindowCounts) {
+  for (const std::uint32_t nwindows : {3u, 5u, 8u}) {
+    SCOPED_TRACE("nwindows=" + std::to_string(nwindows));
+    // Deeper than the resident limit (nwindows - 1) at every count.
+    const int depth = static_cast<int>(2 * nwindows + 3);
+    const Program program = sum_chain_program(depth);
+    TestMachine reference(program, {},
+                          VmConfig{.core = VmCore::kReference,
+                                   .nwindows = nwindows});
+    TestMachine fast(program, {},
+                     VmConfig{.core = VmCore::kFast, .nwindows = nwindows});
+    TestMachine fast_sb(program, {},
+                        VmConfig{.core = VmCore::kFastSb, .nwindows = nwindows});
+    const std::vector<Snapshot> expected = run_sliced(reference);
+    EXPECT_TRUE(run_sliced(fast) == expected);
+    EXPECT_TRUE(run_sliced(fast_sb) == expected);
+
+    EXPECT_EQ(reference.word_at("result"),
+              static_cast<std::uint32_t>(depth * (depth + 1) / 2));
+    EXPECT_EQ(reference.word_at("result", 4), 777u);
+    const auto& counters = reference.hierarchy.counters();
+    EXPECT_GT(counters.window_overflows, 0u);
+    EXPECT_EQ(counters.window_overflows, counters.window_underflows);
+  }
+}
+
+TEST(Windows, FewerThanThreeWindowsRejectedByEveryCore) {
+  proxima::mem::GuestMemory memory;
+  proxima::mem::MemoryHierarchy hierarchy(
+      proxima::mem::leon3_hierarchy_config());
+  for (const VmCore core :
+       {VmCore::kReference, VmCore::kFast, VmCore::kFastSb}) {
+    EXPECT_THROW(proxima::vm::Vm(memory, hierarchy,
+                                 VmConfig{.core = core, .nwindows = 2}),
+                 VmError);
+  }
 }
 
 } // namespace
