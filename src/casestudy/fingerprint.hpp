@@ -11,10 +11,9 @@
 //   * `runs`          — the store serves prefixes of any length; the run
 //                       count changes how many samples exist, never their
 //                       values.
-//   * `vm_core`       — all three cores (fast, fast-sb, reference) are
-//                       bit-identical by the differential-test contract
-//                       (vm_differential), so any core may fill or read
-//                       the same cell.
+//   * `vm_core`       — both cores (fast, reference) are bit-identical by
+//                       the differential-test contract (vm_differential),
+//                       so either core may fill or read the same cell.
 //   * `fault_at_run`  — fault injection aborts a campaign early; the
 //                       samples collected before the fault are exactly the
 //                       uninjected campaign's prefix.

@@ -205,18 +205,6 @@ std::vector<Execution> execute_selected(const CampaignOptions& options,
   return executions;
 }
 
-const char* vm_core_name(vm::VmCore core) {
-  switch (core) {
-  case vm::VmCore::kFast:
-    return "fast";
-  case vm::VmCore::kFastSb:
-    return "fast-sb";
-  case vm::VmCore::kReference:
-    return "reference";
-  }
-  return "?";
-}
-
 void write_adaptive_json(JsonWriter& json, const Execution& execution) {
   json.key("adaptive");
   if (!execution.adaptive) {
@@ -494,7 +482,7 @@ void write_execution_header_json(JsonWriter& json, const Execution& execution,
   // partition; the guests appear in "partitions" only.
   json.key("measured").value(
       casestudy::measured_target_name(execution.config.measured));
-  json.key("vm_core").value(vm_core_name(options.vm_core));
+  json.key("vm_core").value(enum_name(kVmCoreNames, options.vm_core));
   json.key("seed").begin_object();
   json.key("input").value(execution.config.input_seed);
   json.key("layout").value(execution.config.layout_seed);
@@ -682,8 +670,8 @@ int cmd_run(const CampaignOptions& options, std::ostream& out,
   for (const Execution& execution : executions) {
     const trace::TimingReport report =
         trace::TimingReport::from_times(execution.result.times);
-    out << execution.name << " (" << vm_core_name(options.vm_core) << " core, "
-        << execution.result.times.size() << " runs, measured "
+    out << execution.name << " (" << enum_name(kVmCoreNames, options.vm_core)
+        << " core, " << execution.result.times.size() << " runs, measured "
         << casestudy::measured_target_name(execution.config.measured)
         << ")\n";
     out << "  " << report.to_string() << '\n';

@@ -1,5 +1,7 @@
 #include "options.hpp"
 
+#include "exec/registry.hpp"
+
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -36,97 +38,41 @@ OutputFormat parse_format(std::string_view text) {
                    std::string(text) + "'");
 }
 
-/// Levenshtein edit distance, small-string DP (core names are short) —
-/// the same did-you-mean treatment unknown scenarios get in the registry.
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) {
-    row[j] = j;
-  }
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitution =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
-    }
-  }
-  return row[b.size()];
-}
-
-vm::VmCore parse_vm_core(std::string_view text) {
-  static constexpr std::pair<std::string_view, vm::VmCore> kCores[] = {
-      {"fast", vm::VmCore::kFast},
-      {"fast-sb", vm::VmCore::kFastSb},
-      {"reference", vm::VmCore::kReference},
-  };
-  for (const auto& [name, core] : kCores) {
-    if (text == name) {
-      return core;
-    }
-  }
-  std::string message = "--vm-core: expected fast|fast-sb|reference, got '" +
-                        std::string(text) + "'";
-  const std::size_t threshold = std::max<std::size_t>(2, text.size() / 3);
-  std::vector<std::pair<std::size_t, std::string_view>> scored;
-  for (const auto& [name, core] : kCores) {
-    const std::size_t distance = edit_distance(text, name);
-    if (distance <= threshold) {
-      scored.emplace_back(distance, name);
-    }
-  }
-  std::sort(scored.begin(), scored.end());
-  if (!scored.empty()) {
-    message += "; did you mean:";
-    for (const auto& [distance, name] : scored) {
-      message += ' ';
-      message += name;
-    }
-    message += '?';
-  }
-  throw UsageError(message);
-}
-
-casestudy::Randomisation parse_randomisation(std::string_view text) {
-  static constexpr std::pair<std::string_view, casestudy::Randomisation>
-      kArms[] = {
-          {"cots", casestudy::Randomisation::kNone},
-          {"dsr", casestudy::Randomisation::kDsr},
-          {"dsr-ondemand", casestudy::Randomisation::kDsrOnDemand},
-          {"static", casestudy::Randomisation::kStatic},
-          {"hwrand", casestudy::Randomisation::kHardware},
-      };
-  for (const auto& [name, arm] : kArms) {
-    if (text == name) {
-      return arm;
-    }
-  }
-  std::string message =
-      "--randomisation: expected cots|dsr|dsr-ondemand|static|hwrand, got '" +
-      std::string(text) + "'";
-  const std::size_t threshold = std::max<std::size_t>(2, text.size() / 3);
-  std::vector<std::pair<std::size_t, std::string_view>> scored;
-  for (const auto& [name, arm] : kArms) {
-    const std::size_t distance = edit_distance(text, name);
-    if (distance <= threshold) {
-      scored.emplace_back(distance, name);
-    }
-  }
-  std::sort(scored.begin(), scored.end());
-  if (!scored.empty()) {
-    message += "; did you mean:";
-    for (const auto& [distance, name] : scored) {
-      message += ' ';
-      message += name;
-    }
-    message += '?';
-  }
-  throw UsageError(message);
-}
-
 } // namespace
+
+std::size_t find_name_or_suggest(std::span<const std::string_view> names,
+                                 std::string_view what,
+                                 std::string_view text) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (text == names[i]) {
+      return i;
+    }
+  }
+  std::string message = std::string(what) + ": expected ";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    message += i == 0 ? "" : "|";
+    message += names[i];
+  }
+  message += ", got '" + std::string(text) + "'";
+  const std::size_t threshold = std::max<std::size_t>(2, text.size() / 3);
+  std::vector<std::pair<std::size_t, std::string_view>> scored;
+  for (const std::string_view name : names) {
+    const std::size_t distance = exec::edit_distance(text, name);
+    if (distance <= threshold) {
+      scored.emplace_back(distance, name);
+    }
+  }
+  std::sort(scored.begin(), scored.end());
+  if (!scored.empty()) {
+    message += "; did you mean:";
+    for (const auto& [distance, name] : scored) {
+      message += ' ';
+      message += name;
+    }
+    message += '?';
+  }
+  throw UsageError(message);
+}
 
 Command parse_command_line(std::span<const char* const> args) {
   Command command;
@@ -292,9 +238,10 @@ Command parse_command_line(std::span<const char* const> args) {
         throw UsageError("--tolerance: must be a finite number >= 0");
       }
     } else if (flag == "--vm-core") {
-      options.vm_core = parse_vm_core(value());
+      options.vm_core = parse_enum(kVmCoreNames, "--vm-core", value());
     } else if (flag == "--randomisation") {
-      options.randomisation = parse_randomisation(value());
+      options.randomisation =
+          parse_enum(kRandomisationNames, "--randomisation", value());
     } else if (flag == "--format") {
       options.format = parse_format(value());
     } else if (flag == "--decades") {
@@ -419,8 +366,8 @@ std::string usage() {
       "  --workers W          engine worker threads (default: hardware)\n"
       "  --seed S             campaign seed (input seed S, layout seed\n"
       "                       splitmix64(S); default: the paper's 2017/611085)\n"
-      "  --vm-core C          fast-sb|fast|reference (default fast-sb, the\n"
-      "                       superblock tier; all three are bit-identical)\n"
+      "  --vm-core C          fast|reference (default fast; the two are\n"
+      "                       bit-identical)\n"
       "  --randomisation R    cots|dsr|dsr-ondemand|static|hwrand: override\n"
       "                       the scenario's randomisation technology\n"
       "                       (default: the scenario's registered arm)\n"

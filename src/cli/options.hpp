@@ -8,11 +8,13 @@
 #include "casestudy/campaign.hpp"
 #include "vm/vm.hpp"
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace proxima::cli {
@@ -22,6 +24,56 @@ namespace proxima::cli {
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// One spelling of a CLI enum value.  Each enum the CLI reads or prints
+/// has exactly one table of these; flag parsing, the diff --against
+/// mirror, error text and every rendered header read it.
+template <typename T>
+struct EnumName {
+  std::string_view name;
+  T value;
+};
+
+inline constexpr EnumName<vm::VmCore> kVmCoreNames[] = {
+    {"fast", vm::VmCore::kFast},
+    {"reference", vm::VmCore::kReference},
+};
+
+inline constexpr EnumName<casestudy::Randomisation> kRandomisationNames[] = {
+    {"cots", casestudy::Randomisation::kNone},
+    {"dsr", casestudy::Randomisation::kDsr},
+    {"dsr-ondemand", casestudy::Randomisation::kDsrOnDemand},
+    {"static", casestudy::Randomisation::kStatic},
+    {"hwrand", casestudy::Randomisation::kHardware},
+};
+
+/// Position of `text` in `names`.  Otherwise throws UsageError
+/// "<what>: expected a|b|c, got '<text>'", followed by a did-you-mean list
+/// of the names within edit distance max(2, |text| / 3), nearest first.
+std::size_t find_name_or_suggest(std::span<const std::string_view> names,
+                                 std::string_view what, std::string_view text);
+
+/// The value `text` names in `table` (UsageError otherwise, as above).
+template <typename T, std::size_t N>
+T parse_enum(const EnumName<T> (&table)[N], std::string_view what,
+             std::string_view text) {
+  std::array<std::string_view, N> names;
+  for (std::size_t i = 0; i < N; ++i) {
+    names[i] = table[i].name;
+  }
+  return table[find_name_or_suggest(names, what, text)].value;
+}
+
+/// The spelling of `value` in `table`.
+template <typename T, std::size_t N>
+std::string_view enum_name(const EnumName<T> (&table)[N], T value) {
+  for (const EnumName<T>& entry : table) {
+    if (entry.value == value) {
+      return entry.name;
+    }
+  }
+  return "?";
+}
 
 enum class OutputFormat : std::uint8_t { kText, kJson, kCsv };
 
@@ -41,7 +93,7 @@ struct CampaignOptions {
   /// `--seed S`: input seed S, layout seed splitmix64_mix(S) — one knob
   /// reseeds the whole campaign deterministically.
   std::optional<std::uint64_t> seed;
-  vm::VmCore vm_core = vm::VmCore::kFastSb;
+  vm::VmCore vm_core = vm::VmCore::kFast;
   /// `--randomisation R`: override the scenario's randomisation technology
   /// (cots|dsr|dsr-ondemand|static|hwrand); unset keeps the scenario's
   /// registered arm.

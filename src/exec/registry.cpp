@@ -9,25 +9,6 @@ namespace proxima::exec {
 
 namespace {
 
-/// Levenshtein edit distance, small-string DP (scenario names are short).
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) {
-    row[j] = j;
-  }
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitution =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
-    }
-  }
-  return row[b.size()];
-}
-
 /// Closest registered names to a typo, nearest first; only names within a
 /// third of the query's length (so 'nope' suggests nothing rather than
 /// everything).
@@ -63,6 +44,24 @@ family_counts(const std::vector<std::string>& names) {
 }
 
 } // namespace
+
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) {
+    row[j] = j;
+  }
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t substitution =
+          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
+      diagonal = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
+    }
+  }
+  return row[b.size()];
+}
 
 void ScenarioRegistry::add(Scenario scenario) {
   if (scenario.name.empty()) {

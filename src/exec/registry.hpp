@@ -73,4 +73,8 @@ private:
 /// callable on a fresh registry in tests).
 void register_default_scenarios(ScenarioRegistry& registry);
 
+/// Levenshtein edit distance: the did-you-mean metric for unknown scenario
+/// names and for the CLI's enum names (cli/options.hpp).
+std::size_t edit_distance(std::string_view a, std::string_view b);
+
 } // namespace proxima::exec

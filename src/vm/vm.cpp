@@ -28,10 +28,6 @@ Vm::Vm(mem::GuestMemory& memory, mem::MemoryHierarchy& hierarchy,
   fregs_.assign(isa::kFpRegisterCount, 0.0);
   if (config_.core != VmCore::kReference) {
     decode_ = std::make_unique<DecodeCache>();
-    decode_->set_superblock_costs(DecodeCache::SuperblockCosts{
-        .mul_cycles = config_.mul_cycles,
-        .fetch_line_words = hierarchy_.il1().config().line_bytes / 4,
-    });
     memory_.add_write_listener(decode_.get());
   }
   if (config_.taint) {

@@ -300,17 +300,21 @@ TEST(CliRun, SeedAndVmCoreFlagsReachTheConfig) {
   EXPECT_EQ(field_after(result.out, "input"), "7");
   EXPECT_NE(field_after(result.out, "layout"), "7")
       << "layout stream must get a mixed companion seed";
-  // The default core is the superblock tier; all three are bit-identical,
-  // so the --vm-core choice shows up in the header and nowhere else.
+  // The default core is fast; the two cores are bit-identical, so the
+  // --vm-core choice shows up in the header and nowhere else.
   const CliResult default_core =
       invoke({"run", "--scenario", "control/operation-cots", "--runs", "8",
               "--seed", "7", "--format", "json"});
   ASSERT_EQ(default_core.code, 0) << default_core.err;
-  EXPECT_EQ(field_after(default_core.out, "vm_core"), "\"fast-sb\"");
+  EXPECT_EQ(field_after(default_core.out, "vm_core"), "\"fast\"");
   EXPECT_EQ(field_after(default_core.out, "digest"),
             field_after(result.out, "digest"))
-      << "fast-sb and reference must produce the same times digest";
+      << "fast and reference must produce the same times digest";
 }
+
+/// The name of an execution core that was removed: documents and command
+/// lines that still carry it must be rejected like any unknown core.
+constexpr const char* kRemovedCore = "fast-sb";
 
 TEST(CliErrors, UnknownVmCoreSuggestsClosestMatch) {
   // The did-you-mean treatment the scenario names get, applied to
@@ -319,15 +323,18 @@ TEST(CliErrors, UnknownVmCoreSuggestsClosestMatch) {
       invoke({"run", "--scenario", "control/operation-cots", "--runs", "2",
               "--vm-core", "fsat"});
   EXPECT_EQ(result.code, 2);
-  EXPECT_NE(result.err.find("expected fast|fast-sb|reference"),
-            std::string::npos)
+  EXPECT_NE(result.err.find("expected fast|reference"), std::string::npos)
       << result.err;
   EXPECT_NE(result.err.find("did you mean: fast?"), std::string::npos)
       << result.err;
-  const CliResult sb = invoke({"run", "--scenario", "control/operation-cots",
-                               "--runs", "2", "--vm-core", "fastsb"});
-  EXPECT_EQ(sb.code, 2);
-  EXPECT_NE(sb.err.find("fast-sb"), std::string::npos) << sb.err;
+  // A core name the tree no longer has is just another unknown name.
+  const CliResult gone = invoke({"run", "--scenario", "control/operation-cots",
+                                 "--runs", "2", "--vm-core", kRemovedCore});
+  EXPECT_EQ(gone.code, 2);
+  EXPECT_NE(gone.err.find("--vm-core: expected fast|reference, got '" +
+                          std::string(kRemovedCore) + "'"),
+            std::string::npos)
+      << gone.err;
 }
 
 TEST(CliErrors, UnknownRandomisationSuggestsClosestMatch) {
@@ -629,6 +636,23 @@ TEST(CliDiff, AgainstJsonFormatAndUsageErrors) {
             2);
   EXPECT_EQ(invoke({"diff", "--against", "control/operation-cots"}).code, 2)
       << "--against still needs the candidate path";
+
+  // The mirrored vm_core is read through the same name table as
+  // --vm-core: a core the tree does not have is a usage error.
+  std::string unknown_core = run_json("control/operation-cots", "8", "5");
+  const std::string fast_core = "\"vm_core\": \"fast\"";
+  const std::size_t core_at = unknown_core.find(fast_core);
+  ASSERT_NE(core_at, std::string::npos) << unknown_core;
+  unknown_core.replace(core_at, fast_core.size(),
+                       "\"vm_core\": \"" + std::string(kRemovedCore) + "\"");
+  const TempReport stale("against_core", unknown_core);
+  const CliResult stale_core = invoke(
+      {"diff", stale.path().c_str(), "--against", "control/operation-cots"});
+  EXPECT_EQ(stale_core.code, 2) << stale_core.out;
+  EXPECT_NE(stale_core.err.find("expected fast|reference, got '" +
+                                std::string(kRemovedCore) + "'"),
+            std::string::npos)
+      << stale_core.err;
 }
 
 TEST(CliDiff, ComparesPerPartitionRowsAndMeasuredTarget) {

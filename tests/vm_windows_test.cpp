@@ -326,11 +326,8 @@ TEST(Windows, CoresAgreeAcrossWindowCounts) {
                                    .nwindows = nwindows});
     TestMachine fast(program, {},
                      VmConfig{.core = VmCore::kFast, .nwindows = nwindows});
-    TestMachine fast_sb(program, {},
-                        VmConfig{.core = VmCore::kFastSb, .nwindows = nwindows});
     const std::vector<Snapshot> expected = run_sliced(reference);
     EXPECT_TRUE(run_sliced(fast) == expected);
-    EXPECT_TRUE(run_sliced(fast_sb) == expected);
 
     EXPECT_EQ(reference.word_at("result"),
               static_cast<std::uint32_t>(depth * (depth + 1) / 2));
@@ -345,8 +342,7 @@ TEST(Windows, FewerThanThreeWindowsRejectedByEveryCore) {
   proxima::mem::GuestMemory memory;
   proxima::mem::MemoryHierarchy hierarchy(
       proxima::mem::leon3_hierarchy_config());
-  for (const VmCore core :
-       {VmCore::kReference, VmCore::kFast, VmCore::kFastSb}) {
+  for (const VmCore core : {VmCore::kReference, VmCore::kFast}) {
     EXPECT_THROW(proxima::vm::Vm(memory, hierarchy,
                                  VmConfig{.core = core, .nwindows = 2}),
                  VmError);
