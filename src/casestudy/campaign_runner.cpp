@@ -101,7 +101,7 @@ CampaignRunner::CampaignRunner(const CampaignConfig& config)
   }
   configure_taint_ranges();
   if (config_.hypervisor) {
-    hv_build(); // hv_runner.cpp: guest images + PartitionedPlatform
+    hv_build(); // hv_runner.cpp: guest images + the Hypervisor
   }
 }
 
@@ -194,6 +194,12 @@ void CampaignRunner::configure_taint_ranges() {
   }
 }
 
+std::uint32_t CampaignRunner::measured_entry() const {
+  return config_.randomisation == Randomisation::kDsrOnDemand
+             ? runtime_->entry_address()
+             : reboot_entry_;
+}
+
 void CampaignRunner::verify_measured() {
   if (!target_->verify(memory_, image_)) {
     fault(std::string(target_->name()) +
@@ -227,12 +233,14 @@ void CampaignRunner::setup(std::uint64_t run_index) {
   // scratch every run, so an unmeasured extra activation has no observable
   // effect beyond its input-stream consumption.
   const std::uint64_t activation = config_.warmup_runs + run_index;
-  if (hv_) {
-    hv_setup(activation);
-    return;
-  }
-  apply_randomisation(exec::derive_run_seed(
-      config_.layout_seed, exec::SeedStream::kLayout, activation));
+  // Under the hypervisor the measured partition's layout draws from its
+  // kind's fixed partition index; its INPUTS keep the bare run-seed
+  // stream, which is what makes hv/control-solo bit-identical to
+  // control/analysis-cots.
+  apply_randomisation(hv_ ? hv_begin_run(activation)
+                          : exec::derive_run_seed(config_.layout_seed,
+                                                  exec::SeedStream::kLayout,
+                                                  activation));
   target_->advance_inputs(activation);
   stage_inputs(activation);
 }
@@ -244,44 +252,37 @@ void CampaignRunner::execute() {
   // Fresh taint shadows: per-run leak metrics are a pure function of the
   // run's own activation(s), independent of how runs are sharded.
   cpu_.taint_new_run();
-  if (hv_) {
-    hv_execute();
-    executed_ = true;
-    return;
-  }
-  const bool use_dsr = uses_dsr(config_.randomisation);
-  const std::uint32_t entry =
-      use_dsr ? runtime_->entry_address() : image_.entry_addr();
+  reboot_entry_ = uses_dsr(config_.randomisation) ? runtime_->entry_address()
+                                                  : image_.entry_addr();
   const std::uint32_t stack_top = target_->stack_top();
 
   // Well-defined initial state, independent across runs *by construction*
-  // (the paper's own requirement): wipe every level, run one unmeasured
-  // warm-up activation under THIS run's layout and inputs, then apply the
-  // PikeOS partition-start L1 flush.  The measured activation thus starts
-  // from a warm L2 whose contents are a function of the current run only.
+  // (the paper's own requirement): wipe every level, then run one
+  // unmeasured warm-up activation under THIS run's layout and inputs, so
+  // the measured step starts from an L2 whose contents are a function of
+  // the current run only.  Under the hypervisor the guests then perturb
+  // exactly that state — hv/control-solo reproduces the bare protocol,
+  // and the guest scenarios differ from it by interference only.
   hierarchy_.flush_all();
-  cpu_.reset(entry, stack_top);
+  cpu_.reset(reboot_entry_, stack_top);
   if (cpu_.run().stop != vm::RunResult::Stop::kHalt) {
     fault("warm-up activation did not halt");
   }
-  hierarchy_.flush_l1s();
   hierarchy_.counters().reset();
   obs_rebase_mix(); // warm-up instructions stay out of vm.mix.*
   trace_buffer_.clear();
 
-  // The measured activation.  A bare kDsrOnDemand sink store fires the
-  // reseed trigger during the warm-up too, so that arm re-queries the
-  // entry point under the layout now in force.  Every other arm reuses the
-  // reboot-time entry — under the lazy scheme the warm-up's first-call
-  // trap moves entry_address(), and the measured activation must still
-  // enter through the stub exactly as it always has.
-  const std::uint32_t measured_entry =
-      config_.randomisation == Randomisation::kDsrOnDemand
-          ? runtime_->entry_address()
-          : entry;
-  cpu_.reset(measured_entry, stack_top);
-  if (cpu_.run().stop != vm::RunResult::Stop::kHalt) {
-    fault("activation did not halt");
+  // The measured step: the PikeOS partition-start L1 flush plus one
+  // activation, or the cyclic schedule, whose partition-start flushes are
+  // the hypervisor's own.
+  if (hv_) {
+    hv_run_schedule();
+  } else {
+    hierarchy_.flush_l1s();
+    cpu_.reset(measured_entry(), stack_top);
+    if (cpu_.run().stop != vm::RunResult::Stop::kHalt) {
+      fault("activation did not halt");
+    }
   }
   executed_ = true;
 }
@@ -290,23 +291,20 @@ RunSample CampaignRunner::collect() {
   if (!current_run_ || !executed_) {
     throw std::logic_error("CampaignRunner::collect: no executed run");
   }
-  if (hv_) {
-    RunSample sample = hv_collect();
-    obs_publish_run(sample);
-    return sample;
-  }
-  // Extract the UoA time + counters (one invocation: the warm-up's trace
-  // was cleared).
+  // The run's one instrumented activation is the measured one (the
+  // warm-up's trace was cleared; guests are not instrumented).
   const std::vector<double> times =
       trace::extract_execution_times(trace_buffer_);
   if (times.size() != 1) {
-    fault("expected exactly one UoA invocation");
+    fault("expected exactly one measured activation per run");
   }
   RunSample sample;
   sample.uoa_cycles = times.front();
   sample.corrupt_input = target_->corrupt_input();
-  sample.counters = hierarchy_.counters();
-
+  sample.counters = hierarchy_.counters(); // hv: the whole schedule's traffic
+  if (hv_) {
+    hv_check_partitions(sample);
+  }
   // Functional verification against the host golden model.
   if (config_.verify_outputs) {
     verify_measured();

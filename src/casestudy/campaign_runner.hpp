@@ -3,6 +3,12 @@
 // per-run measurement protocol of Section IV, split into the
 // setup / execute / collect stages the parallel engine drives.
 //
+// There is one protocol for the bare board and the hypervisor: with
+// `CampaignConfig::hypervisor` set, the same three stage bodies run, and
+// they branch only for the measured partition's layout seed, the measured
+// step (the cyclic schedule instead of one activation) and the partition
+// activity plus guest checks — the hv_* steps of hv_runner.cpp.
+//
 // The runner is target-agnostic: everything specific to the program under
 // measurement (generation + UoA instrumentation, base layout, input
 // mirror, staging, golden model) lives behind `casestudy::MeasuredTarget`
@@ -16,12 +22,14 @@
 // Every measured run is a *pure function of its global activation index*:
 // the input vector and the layout (DSR relocation, static re-link, hardware
 // cache reseed) are drawn from generators seeded via
-// `exec::derive_run_seed(seed, stream, index)`, and the platform state a
-// run observes is rebuilt by the protocol itself (full cache flush,
-// same-layout warm-up activation, PikeOS-style L1 flush).  Two runners
-// executing the same run index therefore produce bit-identical samples,
-// which is what lets `exec::CampaignEngine` shard a campaign across
-// workers and still match the sequential `run_control_campaign` exactly.
+// `exec::derive_run_seed(seed, stream, index)` (under the hypervisor,
+// `exec::derive_partition_seed` at each partition kind's fixed index), and
+// the platform state a run observes is rebuilt by the protocol itself
+// (full cache flush, same-layout warm-up activation, PikeOS-style L1
+// flush).  Two runners executing the same run index therefore produce
+// bit-identical samples, which is what lets `exec::CampaignEngine` shard a
+// campaign across workers and still match the sequential
+// `run_control_campaign` exactly.
 //
 // A runner executes run indices in strictly ascending order.  Persistent
 // target input state (the control task's telemetry rotation and protocol
@@ -54,10 +62,10 @@ public:
   /// base link, image load, DSR runtime attach.  Deterministic for a given
   /// config, so every worker's platform is identical.  With
   /// `config.hypervisor` set, additionally link/load the guest partition
-  /// images and register every partition on a `rtos::PartitionedPlatform`
-  /// over the same core — measured runs then replay the cyclic schedule
-  /// (hv_runner.cpp) instead of the bare protocol, with the identical
-  /// stage API and determinism contract.
+  /// images and register every partition on an `rtos::Hypervisor` over
+  /// the same core — the measured step then replays the cyclic schedule
+  /// (hv_runner.cpp), with the identical stage API and determinism
+  /// contract.
   explicit CampaignRunner(const CampaignConfig& config);
 
   /// Stage 1 — prepare measured run `run_index` (0-based, < config.runs):
@@ -68,8 +76,10 @@ public:
   void setup(std::uint64_t run_index);
 
   /// Stage 2 — the measurement protocol proper: flush every level, run the
-  /// unmeasured same-layout warm-up activation, apply the PikeOS partition
-  /// start L1 flush, then run the measured activation.
+  /// unmeasured same-layout warm-up activation, then the measured step:
+  /// the PikeOS partition-start L1 flush and the measured activation, or
+  /// under the hypervisor the cyclic schedule (which flushes the L1s at
+  /// every partition start itself).
   void execute();
 
   /// Stage 3 — extract the UoA time from the trace, snapshot the
@@ -120,16 +130,34 @@ private:
   /// No-op unless config_.taint; called again after a static re-link
   /// (every data object moves).
   void configure_taint_ranges();
+  /// Entry point of the measured activation, in both modes: the run's
+  /// reboot-time entry, so that under lazy DSR (whose warm-up first-call
+  /// trap moves entry_address()) it still enters through the stub.  Only
+  /// kDsrOnDemand re-queries the layout in force: its reseeds since the
+  /// reboot (the bare sink-store trigger, the hv partition-switch hook)
+  /// move the entry function.
+  std::uint32_t measured_entry() const;
   void verify_measured();
   [[noreturn]] void fault(const std::string& what) const;
 
-  // Hypervisor-campaign engine room (hv_runner.cpp): guest partition
-  // state, the PartitionedPlatform, and the schedule-replay protocol.
+  // Hypervisor mode (hv_runner.cpp): the partition-kind table, the guest
+  // partitions and the rtos::Hypervisor.  setup/execute/collect call these
+  // for the only steps the hypervisor changes.
   struct HvState;
+  /// Deleted in hv_runner.cpp, where HvState is complete.
+  struct HvStateDelete {
+    void operator()(HvState* hv) const noexcept;
+  };
   void hv_build();
-  void hv_setup(std::uint64_t activation);
-  void hv_execute();
-  RunSample hv_collect();
+  /// Reseed every guest's stream for `activation`; returns the measured
+  /// partition's layout seed (its kind's fixed partition index).
+  std::uint64_t hv_begin_run(std::uint64_t activation);
+  /// The measured step: replay the cyclic schedule from a fresh timeline.
+  void hv_run_schedule();
+  /// Record the schedule's per-partition activity into `sample`; fault
+  /// unless the measured activation completed and, with verify_outputs,
+  /// unless every guest's last activation matches its golden model.
+  void hv_check_partitions(RunSample& sample);
 
   // Observability (config_.collect_metrics / config_.timeline).  The
   // metric baselines are snapped at setup() entry and the deltas folded
@@ -167,6 +195,7 @@ private:
   std::optional<std::uint64_t> staged_activation_;
 
   std::optional<std::uint64_t> current_run_; // set by setup, used by stages
+  std::uint32_t reboot_entry_ = 0; // the current run's entry, set by execute
   bool executed_ = false;
   std::uint64_t verified_runs_ = 0;
 
@@ -179,9 +208,7 @@ private:
   dsr::DsrRuntime::Stats dsr_base_;
   vm::DecodeCache::Stats decode_base_;
   vm::TaintStats taint_base_; // leak.* window baseline (config_.taint)
-  // shared_ptr for its type-erased deleter: HvState stays incomplete
-  // outside hv_runner.cpp.  Never actually shared.
-  std::shared_ptr<HvState> hv_; // null on the bare platform
+  std::unique_ptr<HvState, HvStateDelete> hv_; // null on the bare platform
 };
 
 } // namespace proxima::casestudy

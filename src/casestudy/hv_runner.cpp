@@ -1,39 +1,35 @@
-// Hypervisor-campaign mode of the CampaignRunner (Section IV's PikeOS
-// setting): the measured target (CampaignConfig::measured) measured while
-// guest partitions share the platform.
+// Hypervisor mode of the CampaignRunner (Section IV's PikeOS setting): the
+// measured target (CampaignConfig::measured) measured while guest
+// partitions share the platform.
 //
-// Protocol per measured run (see HvCampaignConfig in campaign.hpp):
-//   1. setup    — per-partition seed derivation: the measured partition's
-//                 layout (DSR reboot / hardware cache reseed) and each
-//                 guest's input stream draw from
-//                 exec::derive_partition_seed of the run's global
-//                 activation index, so the whole platform state is a pure
-//                 function of the run index and the engine shards hv
-//                 scenarios exactly like bare ones;
-//   2. execute  — full platform wipe + the bare protocol's unmeasured
-//                 same-layout warm-up of the measured program, then the
-//                 cyclic schedule replayed from a fresh timeline: guests
-//                 activate every minor frame, the measured partition once
-//                 in the LAST frame (after the interference), with the
-//                 hypervisor's partition-start L1 flushes;
-//   3. collect  — the measured activation's UoA time from the trace is the
-//                 run's sample; every partition's ActivationRecords become
-//                 the run's PartitionActivity; measured and guest outputs
-//                 are verified against their golden models.
+// The per-run protocol is the runner's one protocol (campaign_runner.cpp):
+// setup, execute and collect branch on the hypervisor only for
+//   * the layout seed — the measured partition's reboot draws from
+//     exec::derive_partition_seed at its kind's fixed index, and each
+//     guest reseeds its input stream the same way (hv_begin_run);
+//   * the measured step — after the shared wipe and same-layout warm-up,
+//     the cyclic schedule is replayed from a fresh timeline: guests
+//     activate every minor frame, the measured partition once in the LAST
+//     frame, with the hypervisor's partition-start L1 flushes
+//     (hv_run_schedule);
+//   * the partition activity and the guests' golden-model checks
+//     (hv_check_partitions).
+// This file holds those steps, the one table of partition kinds, the one
+// guest partition class every interference guest is, and the
+// Hypervisor the runner drives directly.
 //
 // Seed-index freeze: exec::derive_partition_seed indices are fixed PER
-// TASK KIND — control = 0, image = 1, stressor = 2 — never per
-// registration order or measured role.  This is test-locked: it keeps
-// every pre-existing scenario's random streams (and therefore its times
-// digests) bit-identical across refactors, and it means promoting a guest
-// to the measured slot (or vice versa) never shifts another partition's
-// stream.
+// TASK KIND (kPartitionKinds below) — never per registration order or
+// measured role.  This is test-locked: it keeps every scenario's random
+// streams (and therefore its times digests) bit-identical across
+// refactors, and promoting a guest to the measured slot (or vice versa)
+// never shifts another partition's stream.
 #include "casestudy/campaign_runner.hpp"
 
 #include "exec/seed.hpp"
 #include "obs/timeline.hpp"
 #include "rng/mwc.hpp"
-#include "rtos/platform.hpp"
+#include "rtos/hypervisor.hpp"
 
 #include <algorithm>
 #include <limits>
@@ -44,114 +40,99 @@ namespace proxima::casestudy {
 
 namespace {
 
-// Guest image bases: above the DSR code pool (0x4100'0000 + 32 MiB).
-constexpr std::uint32_t kImageCodeBase = 0x4300'0000;
-constexpr std::uint32_t kImageDataBase = 0x4310'0000;
-constexpr std::uint32_t kImageStackTop = 0x4480'0000;
-constexpr std::uint32_t kStressorCodeBase = 0x4500'0000;
-constexpr std::uint32_t kStressorDataBase = 0x4510'0000;
-constexpr std::uint32_t kStressorStackTop = 0x4580'0000;
-constexpr std::uint32_t kControlGuestCodeBase = 0x4600'0000;
-constexpr std::uint32_t kControlGuestDataBase = 0x4610'0000;
-constexpr std::uint32_t kControlGuestStackTop = 0x4680'0000;
+enum PartitionKind : std::uint8_t { kControl, kImage, kStressor, kBeacon };
 
-/// Stable per-partition indices for exec::derive_partition_seed: fixed per
-/// partition kind (not registration order, not measured role), so enabling
-/// one guest — or changing which partition is measured — never shifts
-/// another's random stream.
-constexpr std::uint32_t kControlSeedIndex = 0;
-constexpr std::uint32_t kImageSeedIndex = 1;
-constexpr std::uint32_t kStressorSeedIndex = 2;
-constexpr std::uint32_t kBeaconSeedIndex = 3;
+/// What the schedule knows about a task kind, whichever role it plays.
+/// The guest columns place the kind's image when it runs as an
+/// interference guest; the beacon is only ever measured.
+struct PartitionKindRow {
+  const char* name;         // hypervisor partition name
+  std::uint32_t seed_index; // exec::derive_partition_seed index (frozen)
+  std::uint32_t code_base;  // guest image bases: above the DSR code pool
+  std::uint32_t data_base;  // (0x4100'0000 + 32 MiB)
+  std::uint32_t stack_top;  // guest stack top
+  bool HvCampaignConfig::*guest;                    // enables the guest
+  std::uint32_t HvCampaignConfig::*guest_budget_ms; // its budget fence
+};
 
-constexpr const char* kStressorPartition = "stressor";
+constexpr PartitionKindRow kPartitionKinds[] = {
+    {"control", 0, 0x4600'0000, 0x4610'0000, 0x4680'0000,
+     &HvCampaignConfig::control_guest,
+     &HvCampaignConfig::control_guest_budget_ms},
+    {"processing", 1, 0x4300'0000, 0x4310'0000, 0x4480'0000,
+     &HvCampaignConfig::image_guest, &HvCampaignConfig::image_budget_ms},
+    {"stressor", 2, 0x4500'0000, 0x4510'0000, 0x4580'0000,
+     &HvCampaignConfig::stressor_guest, &HvCampaignConfig::stressor_budget_ms},
+    {"beacon", 3, 0, 0, 0, nullptr, nullptr},
+};
 
-std::uint32_t measured_seed_index(MeasuredTargetKind kind) {
+constexpr std::size_t kKinds = std::size(kPartitionKinds);
+
+PartitionKind partition_kind(MeasuredTargetKind kind) {
   switch (kind) {
   case MeasuredTargetKind::kImage:
-    return kImageSeedIndex;
+    return kImage;
   case MeasuredTargetKind::kLeakyBeacon:
   case MeasuredTargetKind::kHardenedBeacon:
-    return kBeaconSeedIndex;
+    return kBeacon;
   case MeasuredTargetKind::kControl:
     break;
   }
-  return kControlSeedIndex;
-}
-
-isa::LinkOptions guest_link_options(std::uint32_t code_base,
-                                    std::uint32_t data_base) {
-  isa::LinkOptions options;
-  options.code_base = code_base;
-  options.data_base = data_base;
-  return options;
+  return kControl;
 }
 
 } // namespace
 
+const char* measured_partition_name(MeasuredTargetKind kind) noexcept {
+  return kPartitionKinds[partition_kind(kind)].name;
+}
+
 struct CampaignRunner::HvState {
   /// The measured partition: a thin app over the runner's measured image.
-  /// Inputs are staged by setup() (the same advance/stage path as the bare
-  /// protocol), so activation start needs nothing beyond the entry point —
-  /// which follows the DSR layout of the current run.
+  /// Its inputs are staged by setup() like the bare protocol's, so an
+  /// activation needs only the entry point, which follows the bare rule
+  /// (CampaignRunner::measured_entry) and is queried at activation time,
+  /// after the on-demand switch hook has reseeded.
   class MeasuredApp final : public rtos::PartitionApp {
   public:
     explicit MeasuredApp(CampaignRunner& runner) : runner_(runner) {}
-    std::uint32_t entry_address() override {
-      // Queried at activation time, so an on-demand reseed earlier in the
-      // schedule is picked up here.
-      return uses_dsr(runner_.config_.randomisation)
-                 ? runner_.runtime_->entry_address()
-                 : runner_.image_.entry_addr();
-    }
+    std::uint32_t entry_address() override { return runner_.measured_entry(); }
     std::uint32_t stack_top() override { return runner_.target_->stack_top(); }
 
   private:
     CampaignRunner& runner_;
   };
 
-  /// The control task as an interference guest (the measured target is
-  /// another partition): a fresh input refresh every minor frame.  The
-  /// persistent instrument state restarts from the image's load-time
-  /// contents each run — the per-run reseed plus a full first-activation
-  /// re-stage keeps the whole guest a pure function of the run index, so
-  /// the engine's sharding contract holds without cross-run host-side
-  /// replay (unlike the measured control path, whose stream survives
-  /// across runs).
-  class ControlGuestApp final : public rtos::PartitionApp {
+  /// An interference guest: one task kind's program linked at its row's
+  /// guest bases, with fresh inputs every activation drawn from the run's
+  /// partition stream.  The kinds differ only in their program, staging
+  /// and golden check (the three switches below).
+  class GuestPartition final : public rtos::PartitionApp {
   public:
-    ControlGuestApp(CampaignRunner& runner, const ControlParams& params)
-        : runner_(runner), params_(params), rng_(1),
-          image_(isa::link(build_control_program(params_),
-                           guest_link_options(kControlGuestCodeBase,
-                                              kControlGuestDataBase))),
-          inputs_(initial_control_inputs(params_)) {
+    GuestPartition(CampaignRunner& runner, PartitionKind kind)
+        : runner_(runner), kind_(kind), rng_(1),
+          image_(isa::link(program(), link_options())) {
       image_.load_into(runner_.memory_);
       runner_.cpu_.predecode(image_.code_begin(),
                              image_.code_end() - image_.code_begin());
     }
 
     std::uint32_t entry_address() override { return image_.entry_addr(); }
-    std::uint32_t stack_top() override { return kControlGuestStackTop; }
+    std::uint32_t stack_top() override {
+      return kPartitionKinds[kind_].stack_top;
+    }
 
+    /// Per-run reboot: the guest's stream restarts from this run's
+    /// partition seed, so the guest is a pure function of the run index.
     void begin_run(std::uint64_t activation) {
-      rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
-                                            exec::SeedStream::kInput,
-                                            activation, kControlSeedIndex));
-      inputs_ = initial_control_inputs(params_);
-      full_stage_ = true; // guest memory still holds the previous run's state
+      rng_.seed(exec::derive_partition_seed(
+          runner_.config_.input_seed, exec::SeedStream::kInput, activation,
+          kPartitionKinds[kind_].seed_index));
       staged_ = false;
     }
 
     void before_activation(std::uint64_t) override {
-      refresh_control_inputs(rng_, params_, inputs_);
-      ControlInputs to_stage = inputs_;
-      if (full_stage_) {
-        mark_control_inputs_fully_dirty(to_stage);
-        full_stage_ = false;
-      }
-      for (const auto& [addr, length] :
-           stage_control_inputs(runner_.memory_, image_, to_stage)) {
+      for (const auto& [addr, length] : stage()) {
         runner_.note_staged_range(addr, length);
       }
       staged_ = true;
@@ -160,151 +141,102 @@ struct CampaignRunner::HvState {
     /// Golden-model check of the most recent activation (its outputs are
     /// still resident when the run's schedule completes).
     void verify_last() const {
-      if (!staged_) {
-        return;
-      }
-      const ControlOutputs expected = reference_control(params_, inputs_);
-      const ControlOutputs actual =
-          read_control_outputs(runner_.memory_, image_, params_);
-      if (!(expected == actual)) {
-        runner_.fault("control guest outputs diverge from the golden model");
+      if (staged_ && !outputs_match()) {
+        runner_.fault(std::string("guest partition '") +
+                      kPartitionKinds[kind_].name +
+                      "' outputs diverge from the golden model");
       }
     }
 
   private:
+    const HvCampaignConfig& hv() const { return *runner_.config_.hypervisor; }
+
+    isa::LinkOptions link_options() const {
+      isa::LinkOptions options;
+      options.code_base = kPartitionKinds[kind_].code_base;
+      options.data_base = kPartitionKinds[kind_].data_base;
+      return options;
+    }
+
+    isa::Program program() const {
+      switch (kind_) {
+      case kImage:
+        return build_image_program(hv().image);
+      case kStressor:
+        return build_stressor_program(hv().stressor);
+      default: // kControl
+        return build_control_program(runner_.config_.control);
+      }
+    }
+
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> stage() {
+      mem::GuestMemory& memory = runner_.memory_;
+      switch (kind_) {
+      case kImage:
+        frame_ = make_image_inputs(rng_, hv().image);
+        return stage_image_inputs(memory, image_, frame_);
+      case kStressor:
+        salt_ = rng_.next_u32();
+        return stage_stressor_inputs(memory, image_, salt_);
+      default: // kControl, below
+        break;
+      }
+      // The control task's persistent instrument state restarts from the
+      // image's load-time contents each run; guest memory still holds the
+      // previous run's state, so the run's first activation re-stages it
+      // in full.
+      const ControlParams& params = runner_.config_.control;
+      if (!staged_) {
+        control_ = initial_control_inputs(params);
+      }
+      refresh_control_inputs(rng_, params, control_);
+      if (staged_) {
+        return stage_control_inputs(memory, image_, control_);
+      }
+      ControlInputs full = control_;
+      mark_control_inputs_fully_dirty(full);
+      return stage_control_inputs(memory, image_, full);
+    }
+
+    bool outputs_match() const {
+      const mem::GuestMemory& memory = runner_.memory_;
+      switch (kind_) {
+      case kImage:
+        return reference_image(hv().image, frame_) ==
+               read_image_outputs(memory, image_, hv().image);
+      case kStressor:
+        return reference_stressor(hv().stressor, salt_) ==
+               read_stressor_outputs(memory, image_);
+      default: // kControl
+        return reference_control(runner_.config_.control, control_) ==
+               read_control_outputs(memory, image_, runner_.config_.control);
+      }
+    }
+
     CampaignRunner& runner_;
-    ControlParams params_;
+    PartitionKind kind_;
     rng::Mwc rng_;
     isa::LinkedImage image_;
-    ControlInputs inputs_;
-    bool full_stage_ = true;
+    ControlInputs control_;  // kControl: the persistent instrument state
+    ImageInputs frame_;      // kImage: the last activation's frame
+    std::uint32_t salt_ = 0; // kStressor: the last activation's salt
     bool staged_ = false;
   };
 
-  /// The image-processing task as a low-criticality guest: a fresh sensor
-  /// frame every activation, drawn from this run's partition stream.
-  class ImageGuestApp final : public rtos::PartitionApp {
-  public:
-    ImageGuestApp(CampaignRunner& runner, const ImageParams& params)
-        : runner_(runner), params_(params), rng_(1),
-          image_(isa::link(build_image_program(params_),
-                           guest_link_options(kImageCodeBase,
-                                              kImageDataBase))) {
-      image_.load_into(runner_.memory_);
-      runner_.cpu_.predecode(image_.code_begin(),
-                             image_.code_end() - image_.code_begin());
-    }
-
-    std::uint32_t entry_address() override { return image_.entry_addr(); }
-    std::uint32_t stack_top() override { return kImageStackTop; }
-
-    void begin_run(std::uint64_t activation) {
-      rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
-                                            exec::SeedStream::kInput,
-                                            activation, kImageSeedIndex));
-      staged_ = false;
-    }
-
-    void before_activation(std::uint64_t) override {
-      inputs_ = make_image_inputs(rng_, params_);
-      stage_image_inputs(runner_.memory_, image_, inputs_);
-      runner_.note_staged_range(image_.symbol("im_frame").addr,
-                                params_.frame_bytes());
-      runner_.note_staged_range(image_.symbol("im_status").addr, 16);
-      staged_ = true;
-    }
-
-    /// Golden-model check of the most recent activation (its outputs are
-    /// still resident when the run's schedule completes).
-    void verify_last() const {
-      if (!staged_) {
-        return;
-      }
-      const ImageOutputs expected = reference_image(params_, inputs_);
-      const ImageOutputs actual =
-          read_image_outputs(runner_.memory_, image_, params_);
-      if (!(expected == actual)) {
-        runner_.fault("image guest outputs diverge from the golden model");
-      }
-    }
-
-  private:
-    CampaignRunner& runner_;
-    ImageParams params_;
-    rng::Mwc rng_;
-    isa::LinkedImage image_;
-    ImageInputs inputs_;
-    bool staged_ = false;
-  };
-
-  /// The synthetic L2-evicting sweep as a low-criticality guest.
-  class StressorGuestApp final : public rtos::PartitionApp {
-  public:
-    StressorGuestApp(CampaignRunner& runner, const StressorParams& params)
-        : runner_(runner), params_(params), rng_(1),
-          image_(isa::link(build_stressor_program(params_),
-                           guest_link_options(kStressorCodeBase,
-                                              kStressorDataBase))) {
-      image_.load_into(runner_.memory_);
-      runner_.cpu_.predecode(image_.code_begin(),
-                             image_.code_end() - image_.code_begin());
-    }
-
-    std::uint32_t entry_address() override { return image_.entry_addr(); }
-    std::uint32_t stack_top() override { return kStressorStackTop; }
-
-    void begin_run(std::uint64_t activation) {
-      rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
-                                            exec::SeedStream::kInput,
-                                            activation, kStressorSeedIndex));
-      staged_ = false;
-    }
-
-    void before_activation(std::uint64_t) override {
-      salt_ = rng_.next_u32();
-      for (const auto& [addr, length] :
-           stage_stressor_inputs(runner_.memory_, image_, salt_)) {
-        runner_.note_staged_range(addr, length);
-      }
-      staged_ = true;
-    }
-
-    void verify_last() const {
-      if (!staged_) {
-        return;
-      }
-      const StressorOutputs expected = reference_stressor(params_, salt_);
-      const StressorOutputs actual =
-          read_stressor_outputs(runner_.memory_, image_);
-      if (!(expected == actual)) {
-        runner_.fault("stressor guest output diverges from the golden model");
-      }
-    }
-
-  private:
-    CampaignRunner& runner_;
-    StressorParams params_;
-    rng::Mwc rng_;
-    isa::LinkedImage image_;
-    std::uint32_t salt_ = 0;
-    bool staged_ = false;
+  /// A registered partition: its name and nominal budget fence (ms, 0 =
+  /// the whole minor frame), in registration order — the order
+  /// RunSample::partitions and every per-partition report use.
+  struct Registered {
+    std::string name;
+    std::uint32_t budget_ms;
   };
 
   HvState(CampaignRunner& runner, const HvCampaignConfig& hv)
       : measured(runner),
-        measured_partition(
-            measured_partition_name(runner.config_.measured)),
-        platform(runner.cpu_, runner.hierarchy_,
-                 rtos::HypervisorConfig{hv.minor_frame_ms, hv.cycles_per_ms}) {
-    if (hv.control_guest) {
-      control.emplace(runner, runner.config_.control);
-    }
-    if (hv.image_guest) {
-      image.emplace(runner, hv.image);
-    }
-    if (hv.stressor_guest) {
-      stressor.emplace(runner, hv.stressor);
-    }
+        measured_kind(partition_kind(runner.config_.measured)),
+        hypervisor(runner.cpu_, runner.hierarchy_,
+                   rtos::HypervisorConfig{hv.minor_frame_ms,
+                                          hv.cycles_per_ms}) {
     // The measured partition activates once per run, in the LAST minor
     // frame, so every guest activation of the run precedes the measured
     // one; high criticality still puts it first within that frame.
@@ -315,46 +247,39 @@ struct CampaignRunner::HvState {
           "period range");
     }
     const auto period_ms = static_cast<std::uint32_t>(period);
-    platform.add_partition(
-        rtos::PartitionConfig{.name = measured_partition,
+    add(rtos::PartitionConfig{.name = kPartitionKinds[measured_kind].name,
                               .period_ms = period_ms,
                               .offset_ms = period_ms - hv.minor_frame_ms,
                               .budget_ms = hv.measured_budget_ms,
                               .criticality = rtos::Criticality::kHigh},
         measured);
-    if (control) {
-      platform.add_partition(
-          rtos::PartitionConfig{
-              .name = measured_partition_name(MeasuredTargetKind::kControl),
-              .period_ms = hv.minor_frame_ms,
-              .budget_ms = hv.control_guest_budget_ms},
-          *control);
-    }
-    if (image) {
-      platform.add_partition(
-          rtos::PartitionConfig{
-              .name = measured_partition_name(MeasuredTargetKind::kImage),
-              .period_ms = hv.minor_frame_ms,
-              .budget_ms = hv.image_budget_ms},
-          *image);
-    }
-    if (stressor) {
-      platform.add_partition(
-          rtos::PartitionConfig{.name = kStressorPartition,
-                                .period_ms = hv.minor_frame_ms,
-                                .budget_ms = hv.stressor_budget_ms},
-          *stressor);
+    for (std::size_t kind = 0; kind < kKinds; ++kind) {
+      const PartitionKindRow& row = kPartitionKinds[kind];
+      if (row.guest != nullptr && hv.*row.guest) {
+        add(rtos::PartitionConfig{.name = row.name,
+                                  .period_ms = hv.minor_frame_ms,
+                                  .budget_ms = hv.*row.guest_budget_ms},
+            guests[kind].emplace(runner, static_cast<PartitionKind>(kind)));
+      }
     }
   }
 
+  void add(const rtos::PartitionConfig& config, rtos::PartitionApp& app) {
+    hypervisor.add_partition(config, app); // validates; throws on bad config
+    partitions.push_back(Registered{config.name, config.budget_ms});
+  }
+
   MeasuredApp measured;
-  std::string measured_partition;
-  std::optional<ControlGuestApp> control;
-  std::optional<ImageGuestApp> image;
-  std::optional<StressorGuestApp> stressor;
-  rtos::PartitionedPlatform platform;
+  PartitionKind measured_kind;
+  std::optional<GuestPartition> guests[kKinds]; // by kind; beacon never set
+  rtos::Hypervisor hypervisor;
+  std::vector<Registered> partitions;
   std::vector<rtos::ActivationRecord> records; // last executed schedule
 };
+
+void CampaignRunner::HvStateDelete::operator()(HvState* hv) const noexcept {
+  delete hv;
+}
 
 void CampaignRunner::hv_build() {
   const HvCampaignConfig& hv = *config_.hypervisor;
@@ -369,93 +294,47 @@ void CampaignRunner::hv_build() {
   }
   // A task kind occupies one partition: the guest matching the measured
   // target would collide with it (same program, same partition name).
-  if (config_.measured == MeasuredTargetKind::kControl && hv.control_guest) {
+  const PartitionKindRow& measured = kPartitionKinds[partition_kind(
+      config_.measured)];
+  if (measured.guest != nullptr && hv.*measured.guest) {
     throw std::invalid_argument(
-        "hypervisor campaign: the control task is the measured partition; "
-        "it cannot also run as an interference guest");
+        std::string("hypervisor campaign: partition '") + measured.name +
+        "' is the measured partition; it cannot also run as an "
+        "interference guest");
   }
-  if (config_.measured == MeasuredTargetKind::kImage && hv.image_guest) {
-    throw std::invalid_argument(
-        "hypervisor campaign: the image task is the measured partition; "
-        "it cannot also run as an interference guest");
-  }
-  hv_ = std::make_shared<HvState>(*this, hv);
+  hv_.reset(new HvState(*this, hv));
   if (config_.randomisation == Randomisation::kDsrOnDemand) {
     // Hypervisor on-demand trigger: every granted partition activation
     // (every partition switch the schedule performs) reseeds the measured
     // partition's layout.  The reseed is the hypervisor's own work — host
     // side, charged to no partition budget; the measured partition picks
     // the fresh layout up through entry_address()/its function table.
-    hv_->platform.set_activation_hook(
+    hv_->hypervisor.set_activation_hook(
         [this] { (void)runtime_->rerandomise_on_demand(); });
   }
 }
 
-void CampaignRunner::hv_setup(std::uint64_t activation) {
-  // Per-partition layout stream: the measured partition's reboot draws its
-  // layout from its kind's fixed partition index of this run's derived
-  // seeds (kStatic, the only arm a bare campaign adds, is rejected in
-  // hv_build).  The measured partition's INPUTS keep the bare protocol's
-  // run-seed stream — that equivalence is what makes hv/control-solo
-  // bit-identical to control/analysis-cots.
-  apply_randomisation(exec::derive_partition_seed(
+std::uint64_t CampaignRunner::hv_begin_run(std::uint64_t activation) {
+  for (std::optional<HvState::GuestPartition>& guest : hv_->guests) {
+    if (guest) {
+      guest->begin_run(activation);
+    }
+  }
+  return exec::derive_partition_seed(
       config_.layout_seed, exec::SeedStream::kLayout, activation,
-      measured_seed_index(config_.measured)));
-  target_->advance_inputs(activation);
-  stage_inputs(activation);
-  if (hv_->control) {
-    hv_->control->begin_run(activation);
-  }
-  if (hv_->image) {
-    hv_->image->begin_run(activation);
-  }
-  if (hv_->stressor) {
-    hv_->stressor->begin_run(activation);
-  }
+      kPartitionKinds[hv_->measured_kind].seed_index);
 }
 
-void CampaignRunner::hv_execute() {
-  const bool use_dsr = uses_dsr(config_.randomisation);
-  const std::uint32_t entry =
-      use_dsr ? runtime_->entry_address() : image_.entry_addr();
-
-  // The bare protocol's platform rebuild: wipe every level, then run the
-  // unmeasured same-layout warm-up activation of the measured program so
-  // the measured partition's L2 state entering the schedule is a pure
-  // function of this run alone.  The guests then perturb exactly that
-  // state — hv/control-solo reproduces the bare analysis protocol, and the
-  // guest scenarios differ from it by interference only.
-  hierarchy_.flush_all();
-  cpu_.reset(entry, target_->stack_top());
-  if (cpu_.run().stop != vm::RunResult::Stop::kHalt) {
-    fault("hv warm-up activation did not halt");
-  }
-  hierarchy_.counters().reset();
-  obs_rebase_mix(); // warm-up instructions stay out of vm.mix.*
-  trace_buffer_.clear();
-
-  // Replay the cyclic schedule from a fresh timeline.  Partition-start L1
-  // flushes are the hypervisor's own (PikeOS semantics).
-  hv_->platform.reset_schedule();
-  hv_->records = hv_->platform.run_frames(config_.hypervisor->frames);
+void CampaignRunner::hv_run_schedule() {
+  hv_->hypervisor.reset_schedule();
+  hv_->records = hv_->hypervisor.run_frames(config_.hypervisor->frames);
 }
 
-RunSample CampaignRunner::hv_collect() {
-  // The schedule carries exactly one instrumented activation: the measured
-  // partition's, in the last minor frame (guests are not instrumented).
-  const std::vector<double> times =
-      trace::extract_execution_times(trace_buffer_);
-  if (times.size() != 1) {
-    fault("expected exactly one measured activation per schedule");
+void CampaignRunner::hv_check_partitions(RunSample& sample) {
+  for (const HvState::Registered& partition : hv_->partitions) {
+    sample.partitions.push_back(PartitionActivity{partition.name, {}, 0});
   }
-  RunSample sample;
-  sample.uoa_cycles = times.front();
-  sample.corrupt_input = target_->corrupt_input();
-  sample.counters = hierarchy_.counters(); // the whole schedule's traffic
-
-  for (const std::string& name : hv_->platform.partition_names()) {
-    sample.partitions.push_back(PartitionActivity{name, {}, 0});
-  }
+  const char* measured_name = kPartitionKinds[hv_->measured_kind].name;
   bool measured_completed = false;
   for (const rtos::ActivationRecord& record : hv_->records) {
     const auto it =
@@ -467,48 +346,26 @@ RunSample CampaignRunner::hv_collect() {
     if (record.overran) {
       ++it->overruns;
     }
-    if (record.partition == hv_->measured_partition) {
+    if (record.partition == measured_name) {
       measured_completed = record.halted && !record.overran;
     }
   }
   if (!measured_completed) {
     fault("measured activation hit the budget fence");
   }
-
   if (config_.verify_outputs) {
-    if (hv_->control) {
-      hv_->control->verify_last();
+    for (const std::optional<HvState::GuestPartition>& guest : hv_->guests) {
+      if (guest) {
+        guest->verify_last();
+      }
     }
-    if (hv_->image) {
-      hv_->image->verify_last();
-    }
-    if (hv_->stressor) {
-      hv_->stressor->verify_last();
-    }
-    verify_measured();
   }
-  return sample;
 }
 
 void CampaignRunner::hv_publish_obs() {
   const HvCampaignConfig& hv = *config_.hypervisor;
   const std::uint64_t frame_cycles =
       std::uint64_t{hv.minor_frame_ms} * hv.cycles_per_ms;
-  // Nominal budget fence of a partition, in ms (0 = the whole minor frame)
-  // — partition names are unique per task kind (hv_build rejects the
-  // measured kind doubling as a guest).
-  const auto budget_ms_of = [&](const std::string& name) -> std::uint32_t {
-    if (name == hv_->measured_partition) {
-      return hv.measured_budget_ms;
-    }
-    if (name == measured_partition_name(MeasuredTargetKind::kControl)) {
-      return hv.control_guest_budget_ms;
-    }
-    if (name == measured_partition_name(MeasuredTargetKind::kImage)) {
-      return hv.image_budget_ms;
-    }
-    return hv.stressor_budget_ms; // kStressorPartition
-  };
   // Timeline spans live on the SIMULATED clock: each measured run replays
   // `frames` minor frames from cycle 0, so consecutive runs are laid out
   // end to end at their schedule positions.
@@ -519,7 +376,14 @@ void CampaignRunner::hv_publish_obs() {
       const std::string prefix = "hv." + record.partition + ".";
       run_metrics_.add(prefix + "activations", 1);
       run_metrics_.add(prefix + "consumed_cycles", record.cycles_used);
-      const std::uint32_t budget_ms = budget_ms_of(record.partition);
+      // Partition names are unique per task kind (hv_build rejects the
+      // measured kind doubling as a guest).
+      const std::uint32_t budget_ms =
+          std::find_if(hv_->partitions.begin(), hv_->partitions.end(),
+                       [&](const HvState::Registered& partition) {
+                         return record.partition == partition.name;
+                       })
+              ->budget_ms;
       run_metrics_.add(prefix + "granted_cycles",
                        std::uint64_t{budget_ms != 0 ? budget_ms
                                                     : hv.minor_frame_ms} *

@@ -19,19 +19,6 @@ const char* measured_target_name(MeasuredTargetKind kind) noexcept {
   return "control";
 }
 
-const char* measured_partition_name(MeasuredTargetKind kind) noexcept {
-  switch (kind) {
-  case MeasuredTargetKind::kImage:
-    return "processing";
-  case MeasuredTargetKind::kLeakyBeacon:
-  case MeasuredTargetKind::kHardenedBeacon:
-    return "beacon";
-  case MeasuredTargetKind::kControl:
-    break;
-  }
-  return "control";
-}
-
 namespace {
 
 /// The paper's control task as the measured target — the logic previously
@@ -188,9 +175,7 @@ public:
   std::vector<std::pair<std::uint32_t, std::uint32_t>>
   stage_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
                bool /*full_resync*/) override {
-    stage_image_inputs(memory, image, inputs_);
-    return {{image.symbol("im_frame").addr, config_.image.frame_bytes()},
-            {image.symbol("im_status").addr, 16}};
+    return stage_image_inputs(memory, image, inputs_);
   }
 
   bool verify(const mem::GuestMemory& memory,

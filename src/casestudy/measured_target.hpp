@@ -6,12 +6,13 @@
 // control-task-specific — program generation + UoA instrumentation, the
 // engineered link layout, the per-activation input mirror, DMA-style
 // staging, and the golden-model check — so that any registered task can be
-// the unit of analysis.  The runner (campaign_runner.cpp / hv_runner.cpp)
-// keeps the parts that are target-INdependent: seed derivation, the
-// randomisation arms, the flush/warm-up/measure protocol, the cyclic
-// schedule and the trace extraction.
+// the unit of analysis.  The runner keeps the parts that are
+// target-INdependent in its one per-run protocol (campaign_runner.cpp):
+// seed derivation, the randomisation arms, the flush/warm-up/measure
+// steps and the trace extraction, plus, under the hypervisor, the cyclic
+// schedule and its guest partitions (hv_runner.cpp).
 //
-// Two implementations ship:
+// Three implementations ship:
 //   ControlTarget — the paper's high-criticality control task
 //                   (UoA `control_step`): constant work per activation,
 //                   streamed persistent instrument state (telemetry
@@ -21,7 +22,9 @@
 //                   — the property that makes it the second case-study
 //                   axis — *input-dependent duration* (only the lit ~70%
 //                   of lenses are processed, so operation-mode times vary
-//                   with the input, not just the platform).
+//                   with the input, not just the platform);
+//   LeakTarget    — the address-leak beacon (UoA `leak_step`), leaky or
+//                   hardened by target kind: the `leak/` family's subject.
 //
 // Determinism contract (inherited from campaign_runner.hpp): every method
 // must be a pure function of (config, activation index) — a target draws

@@ -176,6 +176,44 @@ TEST(HvScenarios, AdaptiveCampaignsAreBitIdenticalAcrossWorkerCounts) {
   expect_identical(one.campaign, eight.campaign);
 }
 
+/// Guest instructions retired by a campaign's measured steps (`vm.mix.*`
+/// is rebased after each run's warm-up activation).
+std::uint64_t measured_instructions(CampaignConfig config) {
+  config.collect_metrics = true;
+  const CampaignResult result = run_control_campaign(config);
+  std::uint64_t total = 0;
+  for (const auto& [name, value] : result.metrics.counters) {
+    if (name.starts_with("vm.mix.")) {
+      total += value;
+    }
+  }
+  return total;
+}
+
+TEST(HvScenarios, LazyDsrEntersTheMeasuredActivationThroughTheStub) {
+  // Under lazy DSR the warm-up's first-call trap moves the entry function.
+  // The measured partition must still enter at the reboot-time entry, as
+  // the bare protocol does: the solo schedule then retires exactly the
+  // bare analysis protocol's instructions, stub included.
+  const auto lazy = [](const char* name, std::uint32_t runs) {
+    CampaignConfig config = scenario(name, runs);
+    config.randomisation = casestudy::Randomisation::kDsr;
+    config.pass_options.lazy_stubs = true;
+    config.dsr_options.eager = false;
+    return config;
+  };
+  EXPECT_EQ(measured_instructions(lazy("hv/control-solo", 3)),
+            measured_instructions(lazy("control/analysis-cots", 3)));
+
+  const CampaignConfig config = lazy("hv/control-solo", 6);
+  const CampaignResult one =
+      exec::CampaignEngine(worker_options(1)).run(config);
+  EXPECT_EQ(one.verified_runs, 6u);
+  const CampaignResult four =
+      exec::CampaignEngine(worker_options(4)).run(config);
+  expect_identical(one, four);
+}
+
 TEST(HvScenarios, StaticRandomisationIsRejected) {
   // A static re-link "re-flashes the board" (clears guest memory): under
   // the hypervisor that would wipe the guests' images.

@@ -1,6 +1,7 @@
 // Tests for the scenario registry: the named-workload catalogue that
 // campaigns, benches and examples enumerate instead of hand-rolling
 // configurations.
+#include "cli/options.hpp"
 #include "exec/engine.hpp"
 #include "exec/registry.hpp"
 
@@ -51,6 +52,27 @@ TEST(ScenarioRegistry, DefaultCatalogue) {
         "hv/control+image-ondemand", "leak/beacon-ondemand"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
+}
+
+TEST(ScenarioRegistry, ArmSuffixesParseAsTheCliRandomisationNames) {
+  // The control and image families name each randomisation arm by a
+  // suffix; it must be the CLI's `--randomisation` spelling of the arm
+  // the scenario runs, so the two tables cannot drift apart.
+  FreshRegistry fixture;
+  const exec::ScenarioRegistry& registry = fixture.get();
+  std::size_t checked = 0;
+  for (const char* family : {"control/operation-", "control/analysis-",
+                             "image/operation-", "image/analysis-"}) {
+    for (const std::string& name : registry.names(family)) {
+      const std::string_view suffix =
+          std::string_view(name).substr(std::string_view(family).size());
+      EXPECT_EQ(cli::parse_enum(cli::kRandomisationNames, "suffix", suffix),
+                registry.at(name).make_config(1).randomisation)
+          << name;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 14u);
 }
 
 TEST(ScenarioRegistry, NamesAreSortedAndPrefixFiltered) {
