@@ -18,7 +18,7 @@ mbpta::Summary run_components(bool code, bool stack, std::uint32_t runs) {
   CampaignConfig config = analysis_config(Randomisation::kDsr, runs);
   config.dsr_options.randomise_code = code;
   config.dsr_options.randomise_stack = stack;
-  return mbpta::summarise(run_control_campaign(config).times);
+  return mbpta::summarise(run_campaign(config).times);
 }
 
 } // namespace

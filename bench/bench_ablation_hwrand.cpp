@@ -22,7 +22,7 @@ struct Outcome {
 
 Outcome run_one(Randomisation randomisation, std::uint32_t runs) {
   const CampaignResult result =
-      run_control_campaign(analysis_config(randomisation, runs));
+      run_campaign(analysis_config(randomisation, runs));
   Outcome out;
   out.summary = mbpta::summarise(result.times);
   if (out.summary.stddev < 1e-9) {

@@ -23,12 +23,12 @@ int main() {
                std::to_string(runs) + " runs each)");
 
   CampaignConfig eager = analysis_config(Randomisation::kDsr, runs);
-  const CampaignResult eager_result = run_control_campaign(eager);
+  const CampaignResult eager_result = run_campaign(eager);
 
   CampaignConfig lazy = analysis_config(Randomisation::kDsr, runs);
   lazy.pass_options.lazy_stubs = true;
   lazy.dsr_options.eager = false;
-  const CampaignResult lazy_result = run_control_campaign(lazy);
+  const CampaignResult lazy_result = run_campaign(lazy);
 
   const mbpta::Summary eager_summary = mbpta::summarise(eager_result.times);
   const mbpta::Summary lazy_summary = mbpta::summarise(lazy_result.times);

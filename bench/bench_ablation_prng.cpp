@@ -25,7 +25,7 @@ struct PrngOutcome {
 PrngOutcome run_with_prng(PrngKind prng, std::uint32_t runs) {
   CampaignConfig config = analysis_config(Randomisation::kDsr, runs);
   config.prng = prng;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = run_campaign(config);
   const mbpta::MbptaAnalysis analysis =
       mbpta::analyse(result.times, analysis_mbpta(runs));
   return PrngOutcome{analysis.summary, analysis.applicable(),

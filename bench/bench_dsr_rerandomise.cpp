@@ -6,18 +6,15 @@
 // the SPARC invalidation routine over the touched ranges, and — on the
 // decode-cached cores — invalidating the predecoded dispatch entries for
 // every rewritten word.  This bench isolates exactly that path (no
-// activations are executed) and compares the batched relocation fast path
-// (host-word block moves, range invalidations) against the original
-// per-word store loop on every core:
+// activations are executed) on both cores:
 //
 //   * per-rerandomise wall time for the fast core (the default) and the
 //     reference core (no decode cache) — the fast-vs-reference delta is
-//     the decode-cache coherence cost, the batched-vs-per-word delta is
-//     what the fast path buys;
+//     the decode-cache coherence cost;
 //   * the guest-side work metered by DsrRuntime::Stats (relocations, bytes
 //     copied, cache lines invalidated) per reboot, which is layout-
-//     independent, identical across relocation paths by construction, and
-//     so also serves as a correctness gate.
+//     independent, identical across cores by construction, and so also
+//     serves as a correctness gate.
 //
 //   PROXIMA_RUNS  re-randomisations per leg (default 2000)
 #include "bench_util.hpp"
@@ -50,9 +47,8 @@ struct Leg {
   }
 };
 
-/// The guest-visible relocation work: identical across cores AND across
-/// the batched/per-word relocation paths (the batched path is a host-side
-/// optimisation only).
+/// The guest-visible relocation work: identical across cores (the decode
+/// cache is a host-side structure only).
 bool same_guest_work(const dsr::DsrRuntime::Stats& a,
                      const dsr::DsrRuntime::Stats& b) {
   return a.reseeds == b.reseeds && a.relocations == b.relocations &&
@@ -63,14 +59,9 @@ bool same_guest_work(const dsr::DsrRuntime::Stats& a,
 
 /// Build the control-task DSR platform exactly like a campaign runner and
 /// time `reseeds` partition reboots without executing any activation.
-Leg run_leg(vm::VmCore core, bool batched, const char* label,
-            std::uint64_t reseeds) {
-  const casestudy::CampaignConfig config = [batched] {
-    casestudy::CampaignConfig c;
-    c.randomisation = casestudy::Randomisation::kDsr;
-    c.dsr_options.batched_relocation = batched;
-    return c;
-  }();
+Leg run_leg(vm::VmCore core, const char* label, std::uint64_t reseeds) {
+  casestudy::CampaignConfig config;
+  config.randomisation = casestudy::Randomisation::kDsr;
 
   isa::Program program = casestudy::build_control_program(config.control);
   trace::instrument_function(program, "control_step");
@@ -135,19 +126,13 @@ int main() {
   // it reads ~20 us/reseed high whichever core runs it.  Pay that once, on
   // a discarded leg of the same length.
   std::printf("warm-up (discarded):\n");
-  (void)run_leg(vm::VmCore::kFast, true, "fast core (decode cache)", reseeds);
+  (void)run_leg(vm::VmCore::kFast, "fast core (decode cache)", reseeds);
 
-  std::printf("\nbatched relocation (default):\n");
-  const Leg fast = run_leg(vm::VmCore::kFast, true,
-                           "fast core (decode cache)", reseeds);
+  std::printf("\n");
+  const Leg fast = run_leg(vm::VmCore::kFast, "fast core (decode cache)",
+                           reseeds);
   const Leg reference =
-      run_leg(vm::VmCore::kReference, true, "reference core", reseeds);
-
-  std::printf("\nper-word relocation (--no-batch path):\n");
-  const Leg fast_pw = run_leg(vm::VmCore::kFast, false,
-                              "fast core (decode cache)", reseeds);
-  const Leg reference_pw =
-      run_leg(vm::VmCore::kReference, false, "reference core", reseeds);
+      run_leg(vm::VmCore::kReference, "reference core", reseeds);
 
   std::printf("\ndecode-cache coherence cost: %+.2f us/reseed (%+.1f%%)\n",
               fast.micros_per_reseed() - reference.micros_per_reseed(),
@@ -156,30 +141,15 @@ int main() {
                   : 100.0 * (fast.micros_per_reseed() /
                                  reference.micros_per_reseed() -
                              1.0));
-  const auto speedup = [](const Leg& batched, const Leg& per_word) {
-    return batched.micros_per_reseed() <= 0.0
-               ? 0.0
-               : per_word.micros_per_reseed() / batched.micros_per_reseed();
-  };
-  std::printf("batched speedup: fast %.2fx, reference %.2fx\n",
-              speedup(fast, fast_pw), speedup(reference, reference_pw));
 
   // Gates: the guest-side work is a pure function of the layout stream, so
-  // every core and both relocation paths must meter identical work; the
-  // batched path must not be slower than the loop it replaces; and the
-  // layouts must actually vary (a stuck entry address means the reseed is
-  // a no-op).
+  // both cores must meter identical work; and the layouts must actually
+  // vary (a stuck entry address means the reseed is a no-op).
   const bool same_work = same_guest_work(fast.stats, reference.stats);
-  const bool same_paths = same_guest_work(fast.stats, fast_pw.stats) &&
-                          same_guest_work(reference.stats, reference_pw.stats);
-  const bool batched_wins =
-      fast.micros_per_reseed() <= fast_pw.micros_per_reseed();
   const bool layouts_vary = fast.distinct_entries > reseeds / 4;
   std::printf("shape check: identical guest-side work across cores: %s; "
-              "across relocation paths: %s; batched <= per-word on "
-              "fast: %s; layouts vary (%zu distinct entries): %s\n",
-              same_work ? "yes" : "NO", same_paths ? "yes" : "NO",
-              batched_wins ? "yes" : "NO", fast.distinct_entries,
+              "layouts vary (%zu distinct entries): %s\n",
+              same_work ? "yes" : "NO", fast.distinct_entries,
               layouts_vary ? "yes" : "NO");
-  return same_work && same_paths && batched_wins && layouts_vary ? 0 : 1;
+  return same_work && layouts_vary ? 0 : 1;
 }

@@ -22,7 +22,7 @@ int main() {
                std::to_string(runs) + " runs)");
 
   const CampaignResult dsr =
-      run_control_campaign(analysis_config(Randomisation::kDsr, runs));
+      run_campaign(analysis_config(Randomisation::kDsr, runs));
   const mbpta::IidVerdict dsr_verdict = mbpta::check_iid(dsr.times);
   std::printf("DSR analysis campaign:\n");
   std::printf("  Ljung-Box (independence):        p = %.4f  -> %s\n",
@@ -35,7 +35,7 @@ int main() {
               dsr_verdict.passes() ? "PASS" : "FAIL");
 
   const CampaignResult cots =
-      run_control_campaign(analysis_config(Randomisation::kNone, runs));
+      run_campaign(analysis_config(Randomisation::kNone, runs));
   const mbpta::Summary cots_summary = mbpta::summarise(cots.times);
   std::printf("\nCOTS under the same protocol: min = max = %.0f (stddev %.1f)\n",
               cots_summary.min, cots_summary.stddev);

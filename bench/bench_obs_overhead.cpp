@@ -51,19 +51,14 @@ double gate_pct() {
   return 2.0;
 }
 
-/// One timed sequential campaign.
+/// One timed campaign on one engine worker: every run in order on this
+/// thread, so worker scheduling cannot pollute the timing.
 double timed_run(const CampaignConfig& config, CampaignResult& out) {
   const auto start = std::chrono::steady_clock::now();
-  out = run_control_campaign(config);
+  out = run_campaign(config, 1);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-double median(std::vector<double> values) {
-  const std::size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  return values[mid];
 }
 
 } // namespace
@@ -74,7 +69,7 @@ int main() {
   const double gate = gate_pct();
   print_header("Observability overhead: metrics registry on vs off (" +
                std::to_string(runs) + " runs, " + std::to_string(rounds) +
-               " interleaved rounds, sequential)");
+               " interleaved rounds, one worker)");
 
   const CampaignConfig base = exec::ScenarioRegistry::global()
                                   .at("control/operation-cots")

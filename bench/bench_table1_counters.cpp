@@ -61,9 +61,9 @@ int main() {
                std::to_string(runs) + " runs each)");
 
   const CampaignResult cots =
-      run_control_campaign(operation_config(Randomisation::kNone, runs));
+      run_campaign(operation_config(Randomisation::kNone, runs));
   const CampaignResult dsr =
-      run_control_campaign(operation_config(Randomisation::kDsr, runs));
+      run_campaign(operation_config(Randomisation::kDsr, runs));
 
   std::printf("%-10s %12s %14s %12s %12s %16s\n", "", "icmiss", "dcmiss",
               "L2miss", "FPU", "Instr");

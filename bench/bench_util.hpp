@@ -3,7 +3,10 @@
 // PROXIMA_WORKERS, aligned table printing, and the standard campaign
 // configurations — all drawn from the scenario registry so every bench
 // enumerates the same catalogue (operation-like for Figure 2 / Table I,
-// analysis-like for Figure 3 / the margin comparison).
+// analysis-like for Figure 3 / the margin comparison).  Every campaign
+// runs through `exec::CampaignEngine`; a bench that times one thread
+// passes `workers = 1`, which runs every index in order on the calling
+// thread.
 #pragma once
 
 #include "casestudy/campaign.hpp"
@@ -11,12 +14,14 @@
 #include "exec/registry.hpp"
 #include "mbpta/mbpta.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace proxima::bench {
 
@@ -43,12 +48,13 @@ inline unsigned campaign_workers() {
   return 0; // engine resolves to hardware concurrency
 }
 
-/// Execute a campaign through the parallel engine.  Bit-identical to
-/// `run_control_campaign` at any worker count.
+/// Execute a campaign through the engine on `workers` workers (0 = the
+/// PROXIMA_WORKERS setting, else the hardware concurrency).  Results are
+/// bit-identical at any worker count.
 inline casestudy::CampaignResult
-run_campaign(const casestudy::CampaignConfig& config) {
+run_campaign(const casestudy::CampaignConfig& config, unsigned workers = 0) {
   exec::EngineOptions options;
-  options.workers = campaign_workers();
+  options.workers = workers == 0 ? campaign_workers() : workers;
   return exec::CampaignEngine(options).run(config);
 }
 
@@ -67,6 +73,13 @@ run_campaign_adaptive(const casestudy::CampaignConfig& config,
   exec::EngineOptions options;
   options.workers = campaign_workers();
   return exec::CampaignEngine(options).run_adaptive(config, convergence);
+}
+
+/// Median of a sample (the upper median for an even count).
+inline double median(std::vector<double> values) {
+  const std::size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  return values[mid];
 }
 
 /// Guest instructions retired across all *measured* activations of a

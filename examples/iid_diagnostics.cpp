@@ -8,6 +8,7 @@
 //
 //   $ ./iid_diagnostics
 #include "casestudy/campaign.hpp"
+#include "exec/engine.hpp"
 #include "mbpta/mbpta.hpp"
 #include "rng/distributions.hpp"
 #include "rng/mwc.hpp"
@@ -37,7 +38,7 @@ int main() {
   config.randomisation = casestudy::Randomisation::kDsr;
   config.fixed_inputs = true;
   config.control.corrupt_rate = 1.0;
-  const casestudy::CampaignResult dsr = run_control_campaign(config);
+  const casestudy::CampaignResult dsr = exec::CampaignEngine().run(config);
   verdict_line("DSR measurement campaign", dsr.times);
 
   // 2. A drifting campaign: the second half measured under different

@@ -44,7 +44,7 @@ int main() {
   // --- current practice -----------------------------------------------
   std::printf("== current practice: measurement + engineering margin ==\n");
   const CampaignResult cots =
-      run_control_campaign(analysis_config(Randomisation::kNone, 30));
+      exec::CampaignEngine().run(analysis_config(Randomisation::kNone, 30));
   const trace::TimingReport report =
       trace::TimingReport::from_times(cots.times);
   std::printf("stress-scenario measurements: %s\n", report.to_string().c_str());

@@ -1,33 +1,8 @@
 #include "campaign.hpp"
 
-#include "casestudy/campaign_runner.hpp"
-
 #include <algorithm>
 
 namespace proxima::casestudy {
-
-CampaignResult run_control_campaign(const CampaignConfig& config) {
-  // Thin sequential wrapper over the per-run protocol: one runner, runs
-  // executed in order.  `exec::CampaignEngine` shards the same protocol
-  // across workers and produces bit-identical results (see
-  // campaign_runner.hpp for the determinism contract).
-  CampaignRunner runner(config);
-  CampaignResult result;
-  result.times.reserve(config.runs);
-  result.samples.reserve(config.runs);
-  for (std::uint32_t run = 0; run < config.runs; ++run) {
-    const RunSample sample = runner.run(run);
-    result.times.push_back(sample.uoa_cycles);
-    result.samples.push_back(sample);
-  }
-  result.pass_report = runner.pass_report();
-  result.code_bytes = runner.code_bytes();
-  result.verified_runs = runner.verified_runs();
-  if (config.collect_metrics) {
-    result.metrics = runner.metrics();
-  }
-  return result;
-}
 
 std::vector<trace::PartitionSeries>
 partition_series(std::span<const RunSample> samples) {

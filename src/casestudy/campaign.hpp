@@ -1,4 +1,7 @@
-// Measurement campaign driver: the paper's experimental protocol.
+// Measurement campaign configuration and results: the paper's
+// experimental protocol.  `casestudy::CampaignRunner` (campaign_runner.hpp)
+// executes one run of it; `exec::CampaignEngine` (exec/engine.hpp) is the
+// one campaign driver, at one worker or many.
 //
 // For every measurement run (Section IV/V):
 //   1. re-randomise the layout (DSR partition reboot) / reseed the
@@ -257,18 +260,6 @@ struct CampaignResult {
   /// counts (obs::metrics_digest); gauges carry wall-clock facts.
   obs::MetricsSnapshot metrics;
 };
-
-/// Execute the campaign sequentially (any measured target — the function
-/// name keeps its historical spelling from when the control task was the
-/// only measurable program).  Throws on any functional mismatch or
-/// platform fault — a measurement campaign must never silently produce bad
-/// data.
-///
-/// Every run's randomness is derived from (seed, stream, activation index)
-/// via `exec::derive_run_seed`, making each run a pure function of its
-/// index; `exec::CampaignEngine` exploits this to shard the same campaign
-/// across workers with bit-identical `times`/`samples`.
-CampaignResult run_control_campaign(const CampaignConfig& config);
 
 /// Flatten a hypervisor campaign's per-run partition activity into
 /// per-partition series (registration order preserved) ready for

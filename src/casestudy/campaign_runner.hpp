@@ -28,8 +28,8 @@
 // (full cache flush, same-layout warm-up activation, PikeOS-style L1
 // flush).  Two runners executing the same run index therefore produce
 // bit-identical samples, which is what lets `exec::CampaignEngine` shard a
-// campaign across workers and still match the sequential
-// `run_control_campaign` exactly.
+// campaign across any number of workers and still match its own
+// one-worker, in-order run exactly.
 //
 // A runner executes run indices in strictly ascending order.  Persistent
 // target input state (the control task's telemetry rotation and protocol

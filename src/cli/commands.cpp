@@ -483,6 +483,10 @@ void write_execution_header_json(JsonWriter& json, const Execution& execution,
   json.key("measured").value(
       casestudy::measured_target_name(execution.config.measured));
   json.key("vm_core").value(enum_name(kVmCoreNames, options.vm_core));
+  // The arm that ran (the scenario's own, or a --randomisation override),
+  // so `diff --against` can rerun the same one.
+  json.key("randomisation")
+      .value(enum_name(kRandomisationNames, execution.config.randomisation));
   json.key("seed").begin_object();
   json.key("input").value(execution.config.input_seed);
   json.key("layout").value(execution.config.layout_seed);

@@ -430,6 +430,12 @@ CampaignOptions mirror_candidate_options(const std::string& against,
     options.vm_core = parse_enum(
         kVmCoreNames, "diff --against: candidate vm_core", core->string);
   }
+  if (const JsonValue* arm = scenario.get("randomisation");
+      arm && arm->is_string()) {
+    options.randomisation = parse_enum(
+        kRandomisationNames, "diff --against: candidate randomisation",
+        arm->string);
+  }
   if (const JsonValue* frames = scenario.get("frames");
       frames && frames->is_number()) {
     options.frames = static_cast<std::uint32_t>(frames->number);

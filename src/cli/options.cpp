@@ -397,8 +397,9 @@ std::string usage() {
       "\n"
       "options (diff):\n"
       "  --against SCENARIO   run SCENARIO fresh as the baseline (mirrors\n"
-      "                       the candidate's runs/seed/frames/vm-core)\n"
-      "                       instead of reading a baseline file\n"
+      "                       the candidate's runs/seed/frames/vm-core/\n"
+      "                       randomisation) instead of reading a\n"
+      "                       baseline file\n"
       "  --tolerance F        max relative metric shift treated as equal\n"
       "                       (default 0: bit-exact, digests included)\n"
       "  --format F           text|json (default text; exit codes identical)\n"

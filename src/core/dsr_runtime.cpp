@@ -108,10 +108,6 @@ void DsrRuntime::relocate(std::uint32_t id) {
 }
 
 void DsrRuntime::initialise() {
-  if (!options_.batched_relocation) {
-    initialise_per_word();
-    return;
-  }
   ++stats_.reseeds;
   // Release the previous layout: the freed chunks' cache lines must be
   // written back and invalidated (the invalidation routine's other half —
@@ -134,53 +130,6 @@ void DsrRuntime::initialise() {
   flush_table(stackoff_addr_, staged_stackoff_);
   flush_table(functab_addr_, staged_functab_);
   flush_invalidations();
-  initialised_ = true;
-}
-
-void DsrRuntime::initialise_per_word() {
-  ++stats_.reseeds;
-  // Release the previous layout: the freed chunks' cache lines must be
-  // written back and invalidated (the invalidation routine's other half —
-  // stale code from a dead layout must never survive in the warm L2).
-  if (options_.run_invalidation_routine) {
-    for (const auto& [base, length] : live_chunks_) {
-      stats_.lines_invalidated += hierarchy_.invalidate_range(base, length);
-    }
-    for (const auto& [base, length] : quarantined_chunks_) {
-      stats_.lines_invalidated += hierarchy_.invalidate_range(base, length);
-    }
-  }
-  live_chunks_.clear();
-  quarantined_chunks_.clear();
-  pool_.reset();
-  std::fill(relocated_.begin(), relocated_.end(), false);
-
-  for (const isa::FunctionRecord& record : image_.functions()) {
-    if (!is_real(record.id)) {
-      continue;
-    }
-    // Stack offsets: positive multiples of 8 below the way size, drawn for
-    // every function with a frame (Section III.B.2).
-    std::uint32_t offset = 0;
-    if (record.has_prologue && options_.randomise_stack) {
-      offset = random_.next_offset(options_.offset_range, options_.alignment);
-    }
-    stack_offsets_[record.id] = offset;
-    write_table_u32(stackoff_addr_, record.id, offset);
-
-    if (!options_.randomise_code) {
-      current_address_[record.id] = record.addr;
-      write_table_u32(functab_addr_, record.id, record.addr);
-    } else if (options_.eager) {
-      relocate(record.id);
-    } else {
-      // Lazy: route the first call through the stub.
-      const std::uint32_t stub_id = stub_of_[record.id].value();
-      const std::uint32_t stub_addr = image_.functions().at(stub_id).addr;
-      current_address_[record.id] = stub_addr;
-      write_table_u32(functab_addr_, record.id, stub_addr);
-    }
-  }
   initialised_ = true;
 }
 

@@ -52,13 +52,6 @@ struct RuntimeOptions {
   /// The cache invalidation routine of Section III.B.1.  Disabling it is a
   /// *failure injection*: stale-line fetches become coherence violations.
   bool run_invalidation_routine = true;
-  /// MARDU-style reseed fast path: stage the metadata tables host-side and
-  /// flush them as bulk word spans, and run the invalidation routine once
-  /// over the coalesced touched ranges instead of per store.  Bit-identical
-  /// to the per-word path (same RNG draws, same final memory/cache state,
-  /// same Stats); disable to run the original per-word sequence, which the
-  /// differential tests and bench compare against.
-  bool batched_relocation = true;
   /// Guest region backing the code pool (disjoint from the linked image).
   alloc::Region code_pool{0x4100'0000, 32 * 1024 * 1024};
   /// Cycle cost per copied word charged to a lazy first-call relocation.
@@ -131,14 +124,11 @@ private:
                        std::uint32_t value);
   bool is_real(std::uint32_t id) const;
 
-  /// The original reseed sequence: per-word table stores, one invalidation
-  /// routine call per touched range, in draw order.  Kept as the
-  /// differential baseline for the batched path.
-  void initialise_per_word();
   /// Draw the new layout (stack offsets + relocations), staging table
   /// values host-side and collecting invalidation ranges.  Consumes the
-  /// random stream in exactly the per-word order: per real function, the
-  /// stack-offset draw, then the pool draws.
+  /// random stream in a fixed order — per real function, the stack-offset
+  /// draw, then the pool draws — which the frozen seed-stability digests
+  /// lock.
   void draw_layout();
   void relocate_batched(const isa::FunctionRecord& record);
   /// Flush one staged table as bulk word spans over the contiguous runs of
@@ -146,10 +136,9 @@ private:
   void flush_table(std::uint32_t table_addr,
                    const std::vector<std::uint32_t>& values);
   /// Sort + coalesce the pending ranges (merging only adjacent/overlapping
-  /// ranges) and run the invalidation routine once per merged range.  The
-  /// line count is identical to per-range invalidation: a line, once
-  /// invalidated, is never re-validated within one reseed, so each valid
-  /// line in the union is counted exactly once either way.
+  /// ranges) and run the invalidation routine once per merged range.  A
+  /// line, once invalidated, is never re-validated within one reseed, so
+  /// each valid line in the union is counted exactly once.
   void flush_invalidations();
 
   mem::GuestMemory& memory_;

@@ -336,64 +336,8 @@ CampaignEngine::run(const casestudy::CampaignConfig& config) const {
 casestudy::CampaignResult
 CampaignEngine::run(const casestudy::CampaignConfig& config,
                     const StoredPrefix& prefix) const {
-  validate_prefix(config, prefix);
-  casestudy::CampaignResult result;
-  const std::uint64_t runs = config.runs;
-  if (runs == 0) {
-    // Match the sequential wrapper exactly: the platform is still built,
-    // so the pass report and code size are populated.
-    casestudy::CampaignRunner runner(config);
-    result.pass_report = runner.pass_report();
-    result.code_bytes = runner.code_bytes();
-    if (options_.progress) {
-      options_.progress(0, 0);
-    }
-    return result;
-  }
-
-  // Stored runs fill their slots directly; only the remainder executes.
-  const std::uint64_t stored =
-      std::min<std::uint64_t>(prefix.samples.size(), runs);
-  result.times.resize(static_cast<std::size_t>(runs));
-  result.samples.resize(static_cast<std::size_t>(runs));
-  splice_prefix(prefix, 0, stored, result);
-  ProgressMeter meter(runs, options_.progress);
-  if (stored != 0) {
-    meter.add(stored);
-  }
-
-  if (stored == runs) {
-    // Fully served from the store: nothing executes, but the platform is
-    // still built once so the report's pass/code metadata matches a live
-    // run (the build pipeline is deterministic for a given config).
-    casestudy::CampaignRunner runner(config);
-    result.pass_report = runner.pass_report();
-    result.code_bytes = runner.code_bytes();
-    merge_prefix(config, prefix, stored, result);
-    return result;
-  }
-
-  Plan execution_plan = plan(runs - stored);
-  for (ShardRange& shard : execution_plan.shards) {
-    shard.begin += stored;
-    shard.end += stored;
-  }
-  RunnerSlots runners(execution_plan.workers);
-  std::vector<WorkerTelemetry> telemetry(
-      config.collect_metrics ? execution_plan.workers : 0);
-  const auto wall_start = std::chrono::steady_clock::now();
-  execute_shards(config, execution_plan.shards, execution_plan.workers,
-                 result, meter, options_.shard_sink, options_.sample_sink,
-                 options_.stop, runners,
-                 config.collect_metrics ? &telemetry : nullptr);
-  result.verified_runs = total_verified(runners);
-  fill_metadata(runners, result);
-  if (config.collect_metrics) {
-    merge_metrics(runners, telemetry, execution_plan.workers,
-                  elapsed_us(wall_start), result);
-  }
-  merge_prefix(config, prefix, stored, result);
-  return result;
+  // A fixed campaign is the batch loop with one batch and no controller.
+  return drive(config, config.runs, prefix, nullptr).campaign;
 }
 
 AdaptiveCampaignResult
@@ -406,7 +350,6 @@ AdaptiveCampaignResult
 CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
                              const ConvergenceOptions& options,
                              const StoredPrefix& prefix) const {
-  validate_prefix(config, prefix);
   if (options.batch_runs == 0) {
     throw std::invalid_argument("run_adaptive: batch_runs must be >= 1");
   }
@@ -428,21 +371,45 @@ CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
   // so the runners' range check admits every batch index.
   casestudy::CampaignConfig run_config = config;
   run_config.runs = static_cast<std::uint32_t>(budget);
+  mbpta::ConvergenceController controller(options.controller);
+  AdaptiveCampaignResult out =
+      drive(run_config, options.batch_runs, prefix, &controller);
+  out.converged = controller.converged();
+  out.capped = !out.converged; // controller cap or budget exhaustion
+  out.estimates = controller.estimates();
+  if (config.collect_metrics) {
+    // The convergence trajectory is computed at deterministic batch
+    // boundaries from deterministic samples: series class, in the digest.
+    out.campaign.metrics.set_series("engine.pwcet_estimates", out.estimates);
+    out.campaign.metrics.set_gauge("engine.batches",
+                                   static_cast<double>(out.batches));
+  }
+  return out;
+}
 
+AdaptiveCampaignResult
+CampaignEngine::drive(const casestudy::CampaignConfig& config,
+                      std::uint64_t batch_runs, const StoredPrefix& prefix,
+                      mbpta::ConvergenceController* controller) const {
+  validate_prefix(config, prefix);
+  const std::uint64_t budget = config.runs;
   AdaptiveCampaignResult out;
   casestudy::CampaignResult& campaign = out.campaign;
-  mbpta::ConvergenceController controller(options.controller);
   ProgressMeter meter(budget, options_.progress);
+  if (budget == 0) {
+    meter.add(0); // an empty campaign still reports (0, 0) once
+  }
 
   RunnerSlots runners; // persist across batches, grown to the widest batch
   std::vector<WorkerTelemetry> telemetry; // likewise, accumulated
   unsigned widest_workers = 1;
   const std::uint64_t stored =
       std::min<std::uint64_t>(prefix.samples.size(), budget);
+  const bool batch_spans = controller != nullptr && config.timeline != nullptr;
   const auto wall_start = std::chrono::steady_clock::now();
 
-  for (std::uint64_t begin = 0; begin < budget; begin += options.batch_runs) {
-    const std::uint64_t end = std::min(budget, begin + options.batch_runs);
+  for (std::uint64_t begin = 0; begin < budget; begin += batch_runs) {
+    const std::uint64_t end = std::min(budget, begin + batch_runs);
     campaign.times.resize(static_cast<std::size_t>(end));
     campaign.samples.resize(static_cast<std::size_t>(end));
 
@@ -455,9 +422,8 @@ CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
     }
     const std::uint64_t exec_begin = std::max(begin, covered);
     if (exec_begin < end) {
-      // Shard the executed tail only (same worker-resolution policy as
-      // `run`); the plan is deterministic and the offsets put it at
-      // [exec_begin, end) of the global run-index space.
+      // Shard the executed tail only; the plan is deterministic and the
+      // offsets put it at [exec_begin, end) of the global run-index space.
       Plan batch_plan = plan(end - exec_begin);
       for (ShardRange& shard : batch_plan.shards) {
         shard.begin += exec_begin;
@@ -471,13 +437,13 @@ CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
         telemetry.resize(batch_plan.workers);
       }
       const double batch_ts_us =
-          config.timeline != nullptr ? config.timeline->now_us() : 0.0;
+          batch_spans ? config.timeline->now_us() : 0.0;
       const auto batch_start = std::chrono::steady_clock::now();
-      execute_shards(run_config, batch_plan.shards, batch_plan.workers,
-                     campaign, meter, options_.shard_sink,
-                     options_.sample_sink, options_.stop, runners,
+      execute_shards(config, batch_plan.shards, batch_plan.workers, campaign,
+                     meter, options_.shard_sink, options_.sample_sink,
+                     options_.stop, runners,
                      config.collect_metrics ? &telemetry : nullptr);
-      if (config.timeline != nullptr) {
+      if (batch_spans) {
         config.timeline->record(
             "engine", "batches",
             "batch " + std::to_string(out.batches) + " [" +
@@ -490,23 +456,21 @@ CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
     // run-index order, exactly once, regardless of which worker completed
     // which shard when — the stop decision cannot depend on scheduling.
     ++out.batches;
-    const bool done = controller.add_batch(std::span<const double>(
-        campaign.times.data() + begin,
-        static_cast<std::size_t>(end - begin)));
-    if (done) {
+    if (controller != nullptr &&
+        controller->add_batch(std::span<const double>(
+            campaign.times.data() + begin,
+            static_cast<std::size_t>(end - begin)))) {
       break;
     }
   }
 
-  out.converged = controller.converged();
-  out.capped = !out.converged; // controller cap or budget exhaustion
-  out.estimates = controller.estimates();
   campaign.verified_runs = total_verified(runners);
   fill_metadata(runners, campaign);
   if (campaign.code_bytes == 0) {
-    // Every batch was served from the prefix — no worker ever built a
-    // platform.  Build one for the pass/code metadata, as `run` does.
-    casestudy::CampaignRunner runner(run_config);
+    // No worker ever built a platform (every run came from the prefix, or
+    // there were none).  Build one for the pass/code metadata: the build
+    // pipeline is deterministic for a given config.
+    casestudy::CampaignRunner runner(config);
     campaign.pass_report = runner.pass_report();
     campaign.code_bytes = runner.code_bytes();
   }
@@ -516,11 +480,6 @@ CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
   if (config.collect_metrics) {
     merge_metrics(runners, telemetry, widest_workers, elapsed_us(wall_start),
                   campaign);
-    // The convergence trajectory is computed at deterministic batch
-    // boundaries from deterministic samples: series class, in the digest.
-    campaign.metrics.set_series("engine.pwcet_estimates", out.estimates);
-    campaign.metrics.set_gauge("engine.batches",
-                               static_cast<double>(out.batches));
   }
   return out;
 }

@@ -6,8 +6,13 @@
 // `casestudy::CampaignRunner`, and claims contiguous chunks of run indices
 // from a shared queue.  Because every run's randomness is derived from
 // (seed, stream, activation index) — see exec/seed.hpp — the assembled
-// `CampaignResult.times`/`samples` are bit-identical to the sequential
-// `run_control_campaign` regardless of worker count or scheduling order.
+// `CampaignResult.times`/`samples` are bit-identical regardless of worker
+// count or scheduling order.  At one worker the engine runs every index in
+// order on the calling thread (no thread is spawned), which is how tests
+// and timing benches run a campaign sequentially.
+//
+// Fixed and adaptive campaigns share one driver: a fixed campaign is one
+// batch of `config.runs` runs with no convergence controller.
 //
 // Completed shards can be streamed to a sink while the campaign is still
 // running (e.g. to feed `mbpta::ConvergenceController` with measurement
@@ -152,6 +157,17 @@ private:
     unsigned workers = 1;
   };
   Plan plan(std::uint64_t runs) const;
+
+  /// The one campaign driver behind `run` and `run_adaptive`: grow
+  /// [0, config.runs) in `batch_runs`-sized batches, splice the stored
+  /// prefix and execute only each batch's uncovered tail.  With a
+  /// controller, every batch is fed to it in run-index order (stopping
+  /// when it reports completion) and recorded as a timeline span; a fixed
+  /// campaign is one batch with no controller.
+  AdaptiveCampaignResult drive(const casestudy::CampaignConfig& config,
+                               std::uint64_t batch_runs,
+                               const StoredPrefix& prefix,
+                               mbpta::ConvergenceController* controller) const;
 
   EngineOptions options_;
 };

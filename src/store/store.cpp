@@ -103,18 +103,6 @@ void attach_sink(exec::EngineOptions& options,
       };
 }
 
-void fill_stats(StoreStats* stats, std::uint64_t total_runs,
-                std::uint64_t prefix_runs, std::uint64_t fingerprint,
-                const std::string& path) {
-  if (stats == nullptr) {
-    return;
-  }
-  stats->stored_runs = std::min(prefix_runs, total_runs);
-  stats->simulated_runs = total_runs - stats->stored_runs;
-  stats->fingerprint = fingerprint;
-  stats->cell_path = path;
-}
-
 } // namespace
 
 CampaignStore::CampaignStore(std::string root) : root_(std::move(root)) {}
@@ -133,26 +121,8 @@ casestudy::CampaignResult
 CampaignStore::run(const std::string& scenario,
                    const casestudy::CampaignConfig& config,
                    exec::EngineOptions options, StoreStats* stats) const {
-  const std::uint64_t fingerprint = casestudy::config_fingerprint(config);
-  const std::string path = cell_path(scenario, config);
-  const CellHeader header{scenario, fingerprint, config.input_seed,
-                          config.layout_seed};
-  const PrefixArrays prefix =
-      load_prefix(path, header, config.collect_metrics, config.runs);
-  const std::uint64_t prefix_runs = prefix.samples.size();
-  std::shared_ptr<CellWriter> writer;
-  if (prefix_runs < config.runs) {
-    // Something will execute: open (or create) the cell before the engine
-    // starts so header mismatches surface before any simulation time is
-    // spent.
-    std::filesystem::create_directories(root_);
-    writer = std::make_shared<CellWriter>(path, header);
-    attach_sink(options, writer, config.verify_outputs);
-  }
-  const exec::CampaignEngine engine(std::move(options));
-  casestudy::CampaignResult result = engine.run(config, prefix.view());
-  fill_stats(stats, config.runs, prefix_runs, fingerprint, path);
-  return result;
+  return run_cell(scenario, config, nullptr, std::move(options), stats)
+      .campaign;
 }
 
 exec::AdaptiveCampaignResult
@@ -161,10 +131,20 @@ CampaignStore::run_adaptive(const std::string& scenario,
                             const exec::ConvergenceOptions& convergence,
                             exec::EngineOptions options,
                             StoreStats* stats) const {
+  return run_cell(scenario, config, &convergence, std::move(options), stats);
+}
+
+exec::AdaptiveCampaignResult
+CampaignStore::run_cell(const std::string& scenario,
+                        const casestudy::CampaignConfig& config,
+                        const exec::ConvergenceOptions* convergence,
+                        exec::EngineOptions options, StoreStats* stats) const {
   const std::uint64_t fingerprint = casestudy::config_fingerprint(config);
   const std::string path = cell_path(scenario, config);
   const std::uint64_t budget =
-      convergence.max_runs == 0 ? config.runs : convergence.max_runs;
+      convergence != nullptr && convergence->max_runs != 0
+          ? convergence->max_runs
+          : config.runs;
   const CellHeader header{scenario, fingerprint, config.input_seed,
                           config.layout_seed};
   const PrefixArrays prefix =
@@ -172,16 +152,27 @@ CampaignStore::run_adaptive(const std::string& scenario,
   const std::uint64_t prefix_runs = prefix.samples.size();
   std::shared_ptr<CellWriter> writer;
   if (prefix_runs < budget) {
-    // The controller may stop inside the prefix, in which case the writer
-    // appends nothing — opening it is still cheap and keeps one code path.
+    // Something may execute: open (or create) the cell before the engine
+    // starts so header mismatches surface before any simulation time is
+    // spent.  An adaptive controller may still stop inside the prefix, in
+    // which case the writer appends nothing.
     std::filesystem::create_directories(root_);
     writer = std::make_shared<CellWriter>(path, header);
     attach_sink(options, writer, config.verify_outputs);
   }
   const exec::CampaignEngine engine(std::move(options));
-  exec::AdaptiveCampaignResult result =
-      engine.run_adaptive(config, convergence, prefix.view());
-  fill_stats(stats, result.runs(), prefix_runs, fingerprint, path);
+  exec::AdaptiveCampaignResult result;
+  if (convergence == nullptr) {
+    result.campaign = engine.run(config, prefix.view());
+  } else {
+    result = engine.run_adaptive(config, *convergence, prefix.view());
+  }
+  if (stats != nullptr) {
+    stats->stored_runs = std::min(prefix_runs, result.runs());
+    stats->simulated_runs = result.runs() - stats->stored_runs;
+    stats->fingerprint = fingerprint;
+    stats->cell_path = path;
+  }
   return result;
 }
 

@@ -71,6 +71,16 @@ public:
                exec::EngineOptions options, StoreStats* stats = nullptr) const;
 
 private:
+  /// The one body behind `run` (no `convergence`) and `run_adaptive`:
+  /// load the cell's prefix up to the budget, open the writer and attach
+  /// the persisting sink when something may execute, run the engine, and
+  /// fill `stats`.
+  exec::AdaptiveCampaignResult
+  run_cell(const std::string& scenario,
+           const casestudy::CampaignConfig& config,
+           const exec::ConvergenceOptions* convergence,
+           exec::EngineOptions options, StoreStats* stats) const;
+
   std::string root_;
 };
 

@@ -1,6 +1,7 @@
 // Tests for the space case study: functional correctness of both tasks
 // against the host golden models, the engineered layout properties, and
 // the measurement campaign protocol (Section IV).
+#include "campaign_harness.hpp"
 #include "casestudy/campaign.hpp"
 #include "casestudy/control_task.hpp"
 #include "casestudy/image_task.hpp"
@@ -293,7 +294,7 @@ CampaignConfig quick_campaign(Randomisation randomisation) {
 
 TEST(Campaign, CotsVerifiesEveryRun) {
   const CampaignResult result =
-      run_control_campaign(quick_campaign(Randomisation::kNone));
+      test::run_sequential(quick_campaign(Randomisation::kNone));
   EXPECT_EQ(result.times.size(), 12u);
   EXPECT_EQ(result.verified_runs, 12u);
   for (const double t : result.times) {
@@ -304,7 +305,7 @@ TEST(Campaign, CotsVerifiesEveryRun) {
 TEST(Campaign, DsrVerifiesEveryRunAndVaries) {
   CampaignConfig config = quick_campaign(Randomisation::kDsr);
   config.fixed_inputs = true; // isolate layout-induced variation
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   EXPECT_EQ(result.verified_runs, 12u);
   const auto summary = mbpta::summarise(result.times);
   EXPECT_GT(summary.stddev, 0.0) << "DSR must expose layout jitter";
@@ -314,7 +315,7 @@ TEST(Campaign, DsrVerifiesEveryRunAndVaries) {
 TEST(Campaign, CotsFixedInputsIsDeterministic) {
   CampaignConfig config = quick_campaign(Randomisation::kNone);
   config.fixed_inputs = true;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   const auto summary = mbpta::summarise(result.times);
   // No randomisation + same input + independent initial state per run:
   // the platform is deterministic, so every run takes identical time.
@@ -325,7 +326,7 @@ TEST(Campaign, StaticRandomisationVerifiesAndVaries) {
   CampaignConfig config = quick_campaign(Randomisation::kStatic);
   config.fixed_inputs = true;
   config.runs = 8;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   EXPECT_EQ(result.verified_runs, 8u);
   const auto summary = mbpta::summarise(result.times);
   EXPECT_GT(summary.stddev, 0.0);
@@ -334,7 +335,7 @@ TEST(Campaign, StaticRandomisationVerifiesAndVaries) {
 TEST(Campaign, HardwareRandomisationVerifiesAndVaries) {
   CampaignConfig config = quick_campaign(Randomisation::kHardware);
   config.fixed_inputs = true;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   EXPECT_EQ(result.verified_runs, 12u);
   const auto summary = mbpta::summarise(result.times);
   EXPECT_GT(summary.stddev, 0.0);
@@ -346,8 +347,8 @@ TEST(Campaign, DsrOverheadBelowTwoPercent) {
   cots.fixed_inputs = true;
   CampaignConfig dsr = quick_campaign(Randomisation::kDsr);
   dsr.fixed_inputs = true;
-  const CampaignResult cots_result = run_control_campaign(cots);
-  const CampaignResult dsr_result = run_control_campaign(dsr);
+  const CampaignResult cots_result = test::run_sequential(cots);
+  const CampaignResult dsr_result = test::run_sequential(dsr);
   const double cots_instr = static_cast<double>(
       cots_result.samples.front().counters.instructions);
   const double dsr_instr =
@@ -360,8 +361,8 @@ TEST(Campaign, DsrRaisesIl1Misses) {
   // Table I: icmiss 126-127 -> 154 under DSR (code spread over the pool).
   CampaignConfig cots = quick_campaign(Randomisation::kNone);
   CampaignConfig dsr = quick_campaign(Randomisation::kDsr);
-  const CampaignResult cots_result = run_control_campaign(cots);
-  const CampaignResult dsr_result = run_control_campaign(dsr);
+  const CampaignResult cots_result = test::run_sequential(cots);
+  const CampaignResult dsr_result = test::run_sequential(dsr);
   EXPECT_GT(dsr_result.samples.front().counters.icache_miss,
             cots_result.samples.front().counters.icache_miss);
 }
@@ -370,7 +371,7 @@ TEST(Campaign, LfsrPrngWorksToo) {
   CampaignConfig config = quick_campaign(Randomisation::kDsr);
   config.prng = PrngKind::kLfsr;
   config.runs = 6;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   EXPECT_EQ(result.verified_runs, 6u);
 }
 

@@ -231,6 +231,7 @@ TEST(CliRun, JsonSchemaOnASmallScenario) {
   ASSERT_TRUE(JsonChecker(result.out).valid()) << result.out;
   EXPECT_EQ(field_after(result.out, "command"), "\"run\"");
   EXPECT_EQ(field_after(result.out, "name"), "\"control/operation-cots\"");
+  EXPECT_EQ(field_after(result.out, "randomisation"), "\"cots\"");
   EXPECT_EQ(field_after(result.out, "runs"), "12");
   EXPECT_EQ(field_after(result.out, "workers"), "2")
       << "the resolved worker count, not the raw flag";
@@ -653,6 +654,22 @@ TEST(CliDiff, AgainstJsonFormatAndUsageErrors) {
                                 std::string(kRemovedCore) + "'"),
             std::string::npos)
       << stale_core.err;
+}
+
+TEST(CliDiff, AgainstMirrorsARandomisationOverride) {
+  // The header records the arm that ran, so the on-the-fly baseline reruns
+  // the candidate's --randomisation override instead of the scenario's own
+  // arm (which would report a spurious times-digest drift).
+  const CliResult dsr =
+      invoke({"run", "--scenario", "control/operation-cots", "--runs", "8",
+              "--randomisation", "dsr", "--format", "json"});
+  ASSERT_EQ(dsr.code, 0) << dsr.err;
+  EXPECT_EQ(field_after(dsr.out, "randomisation"), "\"dsr\"");
+  const TempReport candidate("against_arm", dsr.out);
+  const CliResult result = invoke(
+      {"diff", candidate.path().c_str(), "--against", "control/operation-cots"});
+  EXPECT_EQ(result.code, 0) << result.out << result.err;
+  EXPECT_NE(result.out.find("0 drift(s)"), std::string::npos) << result.out;
 }
 
 TEST(CliDiff, ComparesPerPartitionRowsAndMeasuredTarget) {

@@ -1,18 +1,21 @@
 // Tests for the parallel campaign execution engine: seed derivation,
 // deterministic sharding, and — the core property — bit-identical results
-// between the sequential campaign and the N-worker engine for every
+// between one worker (the sequential campaign) and N workers for every
 // randomisation technology.
+#include "campaign_harness.hpp"
 #include "casestudy/campaign.hpp"
 #include "casestudy/campaign_runner.hpp"
 #include "exec/engine.hpp"
 #include "exec/seed.hpp"
 #include "exec/shard.hpp"
+#include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <stop_token>
 #include <vector>
 
@@ -98,7 +101,7 @@ TEST(PlanShards, ZeroWorkersThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine vs sequential: bit-identical campaigns.
+// One worker vs many: bit-identical campaigns.
 // ---------------------------------------------------------------------------
 
 CampaignConfig small_config(Randomisation randomisation, std::uint32_t runs) {
@@ -131,8 +134,10 @@ class EngineDeterminism
     : public ::testing::TestWithParam<Randomisation> {};
 
 TEST_P(EngineDeterminism, ParallelMatchesSequential) {
+  // One worker runs every index in order on the calling thread: the
+  // sequential reference every parallel run must reproduce.
   const CampaignConfig config = small_config(GetParam(), 9);
-  const CampaignResult sequential = run_control_campaign(config);
+  const CampaignResult sequential = test::run_sequential(config);
   ASSERT_EQ(sequential.times.size(), 9u);
 
   // 4 workers over single-run shards: every worker crosses shard
@@ -140,11 +145,6 @@ TEST_P(EngineDeterminism, ParallelMatchesSequential) {
   const CampaignResult parallel =
       exec::CampaignEngine(worker_options(4)).run(config);
   expect_identical(sequential, parallel);
-
-  // 1 worker through the engine path must match too.
-  const CampaignResult single =
-      exec::CampaignEngine(worker_options(1)).run(config);
-  expect_identical(sequential, single);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRandomisations, EngineDeterminism,
@@ -169,7 +169,7 @@ TEST(CampaignEngine, AnalysisProtocolDeterminism) {
   CampaignConfig config = small_config(Randomisation::kDsr, 8);
   config.fixed_inputs = true;
   config.control.corrupt_rate = 1.0;
-  const CampaignResult sequential = run_control_campaign(config);
+  const CampaignResult sequential = test::run_sequential(config);
   const CampaignResult parallel =
       exec::CampaignEngine(worker_options(3)).run(config);
   expect_identical(sequential, parallel);
@@ -183,7 +183,7 @@ TEST(CampaignEngine, WarmupInteraction) {
   // shift them identically for both execution styles.
   CampaignConfig config = small_config(Randomisation::kNone, 6);
   config.warmup_runs = 5;
-  const CampaignResult sequential = run_control_campaign(config);
+  const CampaignResult sequential = test::run_sequential(config);
   const CampaignResult parallel =
       exec::CampaignEngine(worker_options(3)).run(config);
   expect_identical(sequential, parallel);
@@ -191,28 +191,78 @@ TEST(CampaignEngine, WarmupInteraction) {
   // And they must actually shift the measurements: without warm-up the
   // derived input seeds differ.
   const CampaignResult no_warmup =
-      run_control_campaign(small_config(Randomisation::kNone, 6));
+      test::run_sequential(small_config(Randomisation::kNone, 6));
   EXPECT_NE(sequential.times, no_warmup.times);
 }
 
 TEST(CampaignEngine, FewerRunsThanWorkers) {
   const CampaignConfig config = small_config(Randomisation::kNone, 3);
-  const CampaignResult sequential = run_control_campaign(config);
+  const CampaignResult sequential = test::run_sequential(config);
   const CampaignResult parallel =
       exec::CampaignEngine(worker_options(8)).run(config);
   expect_identical(sequential, parallel);
 }
 
 TEST(CampaignEngine, EmptyCampaign) {
+  // Zero runs are accepted: the platform is still built (pass report and
+  // code size populated) and progress reports (0, 0) exactly once.
   const CampaignConfig config = small_config(Randomisation::kDsr, 0);
-  const CampaignResult sequential = run_control_campaign(config);
-  const CampaignResult parallel =
-      exec::CampaignEngine(worker_options(4)).run(config);
-  EXPECT_TRUE(parallel.times.empty());
-  EXPECT_TRUE(parallel.samples.empty());
-  EXPECT_EQ(parallel.code_bytes, sequential.code_bytes);
-  EXPECT_GT(parallel.code_bytes, 0u) << "platform is still built";
-  EXPECT_EQ(parallel.verified_runs, 0u);
+  std::uint32_t code_bytes = 0;
+  for (unsigned workers : {1u, 4u}) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> progress;
+    exec::EngineOptions options = worker_options(workers);
+    options.progress = [&](std::uint64_t done, std::uint64_t total) {
+      progress.emplace_back(done, total);
+    };
+    const CampaignResult result = exec::CampaignEngine(options).run(config);
+    EXPECT_TRUE(result.times.empty());
+    EXPECT_TRUE(result.samples.empty());
+    EXPECT_GT(result.code_bytes, 0u) << "platform is still built";
+    EXPECT_GT(result.pass_report.calls_rewritten, 0u) << "DSR pass report";
+    EXPECT_EQ(result.verified_runs, 0u);
+    ASSERT_EQ(progress.size(), 1u) << workers << " workers";
+    EXPECT_EQ(progress.front().first, 0u);
+    EXPECT_EQ(progress.front().second, 0u);
+    if (code_bytes != 0) {
+      EXPECT_EQ(result.code_bytes, code_bytes);
+    }
+    code_bytes = result.code_bytes;
+  }
+}
+
+TEST(CampaignEngine, FixedCampaignRecordsNoBatchSpans) {
+  auto trace_of = [](bool adaptive) {
+    obs::Timeline timeline;
+    CampaignConfig config = small_config(Randomisation::kNone, 4);
+    config.timeline = &timeline;
+    const exec::CampaignEngine engine(worker_options(2));
+    if (adaptive) {
+      exec::ConvergenceOptions convergence;
+      convergence.batch_runs = 2;
+      (void)engine.run_adaptive(config, convergence);
+    } else {
+      (void)engine.run(config);
+    }
+    std::ostringstream out;
+    timeline.write_json(out);
+    return out.str();
+  };
+  const std::string fixed = trace_of(false);
+  EXPECT_NE(fixed.find("\"run 3\""), std::string::npos) << fixed;
+  EXPECT_EQ(fixed.find("\"batches\""), std::string::npos) << fixed;
+  // The control: an adaptive campaign does record its batch track.
+  EXPECT_NE(trace_of(true).find("\"batches\""), std::string::npos);
+}
+
+TEST(CampaignEngine, FixedCampaignEmitsNoConvergenceMetrics) {
+  CampaignConfig config = small_config(Randomisation::kDsr, 4);
+  config.collect_metrics = true;
+  const CampaignResult result =
+      exec::CampaignEngine(worker_options(2)).run(config);
+  EXPECT_FALSE(result.metrics.counters.empty());
+  EXPECT_EQ(result.metrics.gauges.count("engine.workers"), 1u);
+  EXPECT_EQ(result.metrics.series.count("engine.pwcet_estimates"), 0u);
+  EXPECT_EQ(result.metrics.gauges.count("engine.batches"), 0u);
 }
 
 TEST(CampaignEngine, ProgressAndShardSink) {
@@ -279,7 +329,6 @@ TEST(CampaignEngine, FaultCancelsTheRestOfThePoolPromptly) {
 TEST(CampaignEngine, FaultInjectionAlsoFaultsSequentialCampaigns) {
   CampaignConfig config = small_config(Randomisation::kNone, 4);
   config.fault_at_run = 2;
-  EXPECT_THROW(run_control_campaign(config), std::runtime_error);
   EXPECT_THROW(exec::CampaignEngine(worker_options(1)).run(config),
                std::runtime_error);
 }
@@ -365,7 +414,7 @@ TEST(CampaignRunner, SparseIndicesMatchDenseExecution) {
   // A worker that owns a sparse ascending subset must reproduce exactly
   // the runs a dense execution produces at those indices.
   const CampaignConfig config = small_config(Randomisation::kDsr, 8);
-  const CampaignResult dense = run_control_campaign(config);
+  const CampaignResult dense = test::run_sequential(config);
 
   CampaignRunner sparse(config);
   for (std::uint64_t index : {1ull, 2ull, 5ull, 7ull}) {

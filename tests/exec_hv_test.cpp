@@ -4,6 +4,7 @@
 // so the determinism contract (bit-identical results at any worker count,
 // fixed and adaptive) must hold for them unchanged, and hv/control-solo
 // must reproduce the bare analysis protocol exactly.
+#include "campaign_harness.hpp"
 #include "casestudy/campaign.hpp"
 #include "casestudy/campaign_runner.hpp"
 #include "exec/engine.hpp"
@@ -20,7 +21,6 @@ using casestudy::CampaignConfig;
 using casestudy::CampaignResult;
 using casestudy::PartitionActivity;
 using casestudy::RunSample;
-using casestudy::run_control_campaign;
 
 CampaignConfig scenario(const std::string& name, std::uint32_t runs) {
   exec::ScenarioRegistry registry;
@@ -69,9 +69,9 @@ TEST(HvScenarios, SoloReproducesTheBareAnalysisProtocol) {
   // activation: the solo scenario must be bit-identical to the bare
   // analysis campaign, making the solo-vs-guest delta pure interference.
   const CampaignResult solo =
-      run_control_campaign(scenario("hv/control-solo", 5));
+      test::run_sequential(scenario("hv/control-solo", 5));
   const CampaignResult bare =
-      run_control_campaign(scenario("control/analysis-cots", 5));
+      test::run_sequential(scenario("control/analysis-cots", 5));
   ASSERT_EQ(solo.times.size(), bare.times.size());
   for (std::size_t i = 0; i < solo.times.size(); ++i) {
     EXPECT_EQ(solo.times[i], bare.times[i]) << "run " << i;
@@ -80,11 +80,11 @@ TEST(HvScenarios, SoloReproducesTheBareAnalysisProtocol) {
 
 TEST(HvScenarios, GuestInterferenceShiftsTheControlTask) {
   const CampaignResult solo =
-      run_control_campaign(scenario("hv/control-solo", 4));
+      test::run_sequential(scenario("hv/control-solo", 4));
   const CampaignResult image =
-      run_control_campaign(scenario("hv/control+image", 4));
+      test::run_sequential(scenario("hv/control+image", 4));
   const CampaignResult stress =
-      run_control_campaign(scenario("hv/control+stress", 4));
+      test::run_sequential(scenario("hv/control+stress", 4));
   const double solo_max =
       *std::max_element(solo.times.begin(), solo.times.end());
   const double image_min =
@@ -99,7 +99,7 @@ TEST(HvScenarios, GuestInterferenceShiftsTheControlTask) {
 
 TEST(HvScenarios, PartitionActivityIsRecordedPerRun) {
   const CampaignConfig config = scenario("hv/control+image", 3);
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   ASSERT_EQ(result.samples.size(), 3u);
   for (const RunSample& sample : result.samples) {
     ASSERT_EQ(sample.partitions.size(), 2u);
@@ -125,7 +125,7 @@ class HvEngineDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(HvEngineDeterminism, ParallelMatchesSequential) {
   const CampaignConfig config = scenario(GetParam(), 6);
-  const CampaignResult sequential = run_control_campaign(config);
+  const CampaignResult sequential = test::run_sequential(config);
   ASSERT_EQ(sequential.times.size(), 6u);
   EXPECT_EQ(sequential.verified_runs, 6u);
 
@@ -180,7 +180,7 @@ TEST(HvScenarios, AdaptiveCampaignsAreBitIdenticalAcrossWorkerCounts) {
 /// is rebased after each run's warm-up activation).
 std::uint64_t measured_instructions(CampaignConfig config) {
   config.collect_metrics = true;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   std::uint64_t total = 0;
   for (const auto& [name, value] : result.metrics.counters) {
     if (name.starts_with("vm.mix.")) {
@@ -226,7 +226,7 @@ TEST(HvScenarios, StaticRandomisationIsRejected) {
 TEST(HvScenarios, HardwareRandomisationRunsOnTheHypervisor) {
   CampaignConfig config = scenario("hv/control+stress", 3);
   config.randomisation = casestudy::Randomisation::kHardware;
-  const CampaignResult sequential = run_control_campaign(config);
+  const CampaignResult sequential = test::run_sequential(config);
   const CampaignResult parallel =
       exec::CampaignEngine(worker_options(3)).run(config);
   expect_identical(sequential, parallel);

@@ -13,6 +13,7 @@
 // (log/exp); those are compared with a 1e-6 relative tolerance — about
 // nine orders of magnitude above cross-libm jitter and three below any
 // real regression.
+#include "campaign_harness.hpp"
 #include "casestudy/campaign.hpp"
 #include "exec/registry.hpp"
 #include "mbpta/mbpta.hpp"
@@ -32,7 +33,7 @@ CampaignResult run_scenario(const char* name) {
   exec::ScenarioRegistry registry;
   exec::register_default_scenarios(registry);
   // Default seeds (input 2017, layout 611085) — the figures' conditions.
-  return casestudy::run_control_campaign(registry.at(name).make_config(kRuns));
+  return test::run_sequential(registry.at(name).make_config(kRuns));
 }
 
 mbpta::MbptaConfig analysis_config() {

@@ -1,6 +1,7 @@
 // Full-pipeline integration tests: application -> DSR pass -> link ->
 // RTOS/VM execution -> trace -> MBPTA, plus cross-cutting properties that
 // only hold when every layer cooperates.
+#include "campaign_harness.hpp"
 #include "casestudy/campaign.hpp"
 #include "casestudy/control_task.hpp"
 #include "casestudy/image_task.hpp"
@@ -42,7 +43,7 @@ TEST_P(RandomisationSweep, FunctionalOutputsInvariant) {
   config.randomisation = randomisation;
   config.layout_seed = static_cast<std::uint64_t>(seed) * 7919;
   config.verify_outputs = true; // throws on any divergence
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   EXPECT_EQ(result.verified_runs, 5u);
 }
 
@@ -277,7 +278,7 @@ TEST(Integration, SmallAnalysisCampaignYieldsUsablePwcet) {
   config.randomisation = Randomisation::kDsr;
   config.fixed_inputs = true;
   config.control.corrupt_rate = 1.0;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
 
   mbpta::MbptaConfig mbpta_config;
   mbpta_config.block_size = 10;

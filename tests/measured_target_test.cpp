@@ -4,6 +4,7 @@
 // measured scenario family) and the image PARTITION measured under
 // control-task interference on the hypervisor (measured-partition
 // selection).
+#include "campaign_harness.hpp"
 #include "casestudy/campaign.hpp"
 #include "casestudy/campaign_runner.hpp"
 #include "casestudy/measured_target.hpp"
@@ -22,7 +23,6 @@ using casestudy::CampaignConfig;
 using casestudy::CampaignResult;
 using casestudy::MeasuredTargetKind;
 using casestudy::RunSample;
-using casestudy::run_control_campaign;
 
 CampaignConfig scenario(const std::string& name, std::uint32_t runs) {
   exec::ScenarioRegistry registry;
@@ -86,7 +86,7 @@ TEST(MeasuredTarget, ImageFamilyIsRegistered) {
 
 TEST(MeasuredTarget, BareImageCampaignMeasuresAndVerifies) {
   const CampaignConfig config = scenario("image/operation-cots", 6);
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   ASSERT_EQ(result.times.size(), 6u);
   EXPECT_EQ(result.verified_runs, 6u);
   for (const RunSample& sample : result.samples) {
@@ -104,14 +104,14 @@ TEST(MeasuredTarget, ImageDurationIsInputDependent) {
   // the variability collapses to zero (fixed layout, fixed input, fixed
   // protocol => bit-identical activations).
   const CampaignResult operation =
-      run_control_campaign(scenario("image/operation-cots", 8));
+      test::run_sequential(scenario("image/operation-cots", 8));
   const std::set<double> distinct(operation.times.begin(),
                                   operation.times.end());
   EXPECT_GT(distinct.size(), 4u)
       << "fresh frames must yield distinct durations";
 
   const CampaignResult analysis =
-      run_control_campaign(scenario("image/analysis-cots", 8));
+      test::run_sequential(scenario("image/analysis-cots", 8));
   const auto [min_it, max_it] =
       std::minmax_element(analysis.times.begin(), analysis.times.end());
   EXPECT_EQ(*min_it, *max_it)
@@ -122,14 +122,14 @@ TEST(MeasuredTarget, ImageCampaignsRunUnderEveryBareRandomisation) {
   for (const char* name : {"image/operation-dsr", "image/analysis-dsr",
                            "image/analysis-hwrand"}) {
     const CampaignConfig config = scenario(name, 3);
-    const CampaignResult result = run_control_campaign(config);
+    const CampaignResult result = test::run_sequential(config);
     EXPECT_EQ(result.verified_runs, 3u) << name;
   }
   // Static re-link also works for the image target on the bare platform
   // (there is no registry scenario for it; the config arm still must).
   CampaignConfig config = scenario("image/operation-cots", 3);
   config.randomisation = casestudy::Randomisation::kStatic;
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   EXPECT_EQ(result.verified_runs, 3u);
 }
 
@@ -137,7 +137,7 @@ TEST(MeasuredTarget, HvImageMeasuredUnderControlInterference) {
   const CampaignConfig config = scenario("hv/image+control", 3);
   ASSERT_TRUE(config.hypervisor.has_value());
   EXPECT_TRUE(config.hypervisor->control_guest);
-  const CampaignResult result = run_control_campaign(config);
+  const CampaignResult result = test::run_sequential(config);
   ASSERT_EQ(result.samples.size(), 3u);
   for (const RunSample& sample : result.samples) {
     ASSERT_EQ(sample.partitions.size(), 2u);
@@ -159,9 +159,9 @@ TEST(MeasuredTarget, ControlInterferenceShiftsTheMeasuredImage) {
   // image analysis campaign is the interference-free baseline (same
   // pinned frame, same platform protocol).
   const CampaignResult solo =
-      run_control_campaign(scenario("image/analysis-cots", 4));
+      test::run_sequential(scenario("image/analysis-cots", 4));
   const CampaignResult interfered =
-      run_control_campaign(scenario("hv/image+control", 4));
+      test::run_sequential(scenario("hv/image+control", 4));
   const double solo_max =
       *std::max_element(solo.times.begin(), solo.times.end());
   const double interfered_min =
@@ -175,7 +175,7 @@ class ImageEngineDeterminism : public ::testing::TestWithParam<const char*> {
 
 TEST_P(ImageEngineDeterminism, ParallelMatchesSequential) {
   const CampaignConfig config = scenario(GetParam(), 6);
-  const CampaignResult sequential = run_control_campaign(config);
+  const CampaignResult sequential = test::run_sequential(config);
   ASSERT_EQ(sequential.times.size(), 6u);
   EXPECT_EQ(sequential.verified_runs, 6u);
 

@@ -11,6 +11,7 @@
 // — COTS, DSR (eager and lazy first-call relocation, which rewrites code
 // mid-run), static per-run re-link (image reload), and hardware
 // time-randomised caches — plus the layout/PRNG/offset sweeps.
+#include "campaign_harness.hpp"
 #include "casestudy/campaign.hpp"
 #include "exec/registry.hpp"
 #include "isa/builder.hpp"
@@ -28,7 +29,7 @@ using casestudy::RunSample;
 
 CampaignResult run_with_core(CampaignConfig config, vm::VmCore core) {
   config.vm_core = core;
-  return casestudy::run_control_campaign(config);
+  return test::run_sequential(config);
 }
 
 void expect_bit_identical(const CampaignResult& fast,
